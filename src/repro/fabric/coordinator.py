@@ -358,13 +358,27 @@ class Coordinator:
         with self.lock:
             self._shutdown = True
 
-    def close(self) -> None:
-        """Stop accepting, close the listener, and join handler threads."""
+    def _stop_listening(self) -> None:
+        """Close the listener and wake the accept thread at once.
+
+        ``shutdown`` makes an ``accept`` blocked in the accept thread
+        return immediately; closing the socket alone leaves it blocked
+        until its poll timeout, so every execute would end on a 0.2 s
+        tick after the last worker connected.
+        """
         self._closing.set()
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
             pass
+
+    def close(self) -> None:
+        """Stop accepting, close the listener, and join handler threads."""
+        self._stop_listening()
         self._accept_thread.join(timeout=2.0)
         for thread in self._threads:
             thread.join(timeout=2.0)
@@ -387,11 +401,7 @@ class Coordinator:
         """
         host, port = self.address
         self._crashed = True
-        self._closing.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        self._stop_listening()
         for conn in list(self._conns):
             try:
                 conn.shutdown(socket.SHUT_RDWR)

@@ -18,22 +18,20 @@ one engine invocation:
   ``w_max`` are computed once per distinct weight vector and reused
   across trials (identical inputs give identical floats, so sharing is
   bit-safe).
-* **Value-partition epoch selection** -- when a trial's scheme promises
-  it never removes slots (:attr:`SpareScheme.ensemble_never_removes`)
-  and every slot is wear-prone, each slot's death time stays finite
-  until the trial's terminal failure.  The solo kernel's
-  candidates/argpartition/trim/prefix pipeline then reduces to a value
-  partition plus one comparison sweep (:func:`_fast_epoch`), selecting
-  *exactly* the same epoch at a fraction of the cost.
 
-Each trial's epoch loop is otherwise a line-for-line port of the solo
-``fluid-batched`` kernel operating on that trial's row: same
-``BATCH_LIMIT`` windows, same chronologically-safe prefix from a floor
-fetched once before the loop, same truncation and accounting order.
-Results therefore split back into per-trial
-:class:`~repro.sim.result.SimulationResult` objects bit-identical to
-solo ``fluid-batched`` runs of the same seeds (only ``metadata["engine"]``
-differs), which the differential tests pin.
+The module also owns the one batched epoch kernel, :func:`_advance_trial`.
+A solo ``fluid-batched`` run is its one-trial case: the run wraps its
+initialized scheme in a one-scheme
+:class:`~repro.sparing.base.FallbackSchemeState` and advances it as
+trial 0, so an ensemble trial and a solo run of the same seed execute
+the same loop on the same values.  Results therefore split back into
+per-trial :class:`~repro.sim.result.SimulationResult` objects
+bit-identical to solo ``fluid-batched`` runs -- timeline and regime
+counters included, only ``metadata["engine"]`` differs -- independent
+of how members are grouped, which the differential tests pin.  The
+kernel picks its epoch-selection strategy from what it observes of the
+trial (see :func:`_advance_trial` and ``docs/fluid_engine.md``,
+"Kernel regimes").
 
 Trials that die early simply stop: advancement is per-trial over the
 stacked state, so a trial failing in epoch 0 contributes no further
@@ -45,8 +43,8 @@ member to the solo engine so the audit machinery applies unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +61,11 @@ from repro.sparing.base import (
     BATCH_REMOVE,
     BATCH_REPLACE,
     BatchedSchemeState,
+    ExtendBudget,
+    FailDevice,
     FallbackSchemeState,
+    RemoveSlot,
+    ReplaceWith,
     SpareScheme,
 )
 from repro.util.rng import RandomState, derive_rng
@@ -79,7 +81,7 @@ ENGINE_NAME = "fluid-ensemble"
 _EMPTY_POSITIONS = np.empty(0, dtype=np.intp)
 
 
-@dataclass
+@dataclasses.dataclass
 class EnsembleMember:
     """One trial of an ensemble: a full device/attack/defence combination.
 
@@ -96,68 +98,18 @@ class EnsembleMember:
     rng: RandomState = None
 
 
-def _fast_epoch_work(
+def _fast_epoch(
     row: np.ndarray,
     floor: float,
     w_max: float,
-    sentinel: float,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Work-set epoch selection on the candidate *row* itself.
-
-    ``row`` holds the candidate slots' death times (in ascending-slot
-    order) and the return value indexes into it: ``(positions, times)``
-    sorted by ``(time, position)``.  Callers map positions to global
-    slots -- or scatter through them directly when they keep the row as
-    the live copy of the candidates' state.  Returns ``None`` when the
-    work-set guarantee slipped (epoch bound at or above the smallest
-    excluded time); see :func:`_fast_epoch` for the equivalence argument.
-    """
-    from repro.sim.lifetime import BATCH_LIMIT
-
-    if math.isinf(floor):
-        t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-        if not t_max < sentinel:
-            return None
-        pos = np.flatnonzero(row < t_max)
-        if not pos.size:
-            pos = np.flatnonzero(row == t_max)
-    else:
-        t_min = float(row.min())
-        bound = t_min + floor / w_max
-        if not bound <= sentinel:
-            return None
-        pos = np.flatnonzero(row < bound)
-        if pos.size >= BATCH_LIMIT:
-            t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-            if not t_max < sentinel:
-                return None
-            pos = np.flatnonzero(row < t_max)
-            if not pos.size:
-                pos = np.flatnonzero(row == t_max)
-        elif not pos.size:
-            if not t_min < sentinel:
-                return None
-            pos = np.flatnonzero(row == t_min)[:1]
-    times = row[pos]
-    # Death times tie heavily (lines of a region share one endurance), so
-    # the one-shot stable sort beats a detect-ties-then-resort scheme.
-    order = np.argsort(times, kind="stable")
-    return pos[order], times[order]
-
-
-def _fast_epoch(
-    current_death: np.ndarray,
-    floor: float,
-    w_max: float,
-    work: Optional[np.ndarray] = None,
     sentinel: float = math.inf,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Select one epoch assuming every slot is finite and wear-prone.
+    """Select one epoch assuming every entry of ``row`` is finite and prone.
 
-    Equivalent to the solo kernel's selection pipeline -- argpartition of
-    the ``BATCH_LIMIT`` nearest deaths, trim to a complete time-prefix,
-    sort by ``(time, slot)``, cut at the chronologically safe bound --
-    but driven by death-time *values*:
+    Equivalent to the scan selection of :func:`_advance_trial` --
+    argpartition of the ``BATCH_LIMIT`` nearest deaths, trim to a
+    complete time-prefix, sort by ``(time, slot)``, cut at the
+    chronologically safe bound -- but driven by death-time *values*:
 
     * With ``c`` = the number of times strictly below the safety bound,
       ``c < BATCH_LIMIT`` implies the bound is at or below the selection's
@@ -165,61 +117,62 @@ def _fast_epoch(
       partition is skipped entirely (the common case: epochs are much
       smaller than ``BATCH_LIMIT``).
     * Otherwise the ``BATCH_LIMIT``-th smallest value caps the epoch just
-      as the solo trim does, with the same full-tie-class fallback.
+      as the scan's trim does, with the same full-tie-class fallback.
 
-    Epoch content only ever depends on time values (the solo trim makes
-    it independent of argpartition tie-breaking), so this selection is
-    bit-identical.  Returns ``(sel, times)`` sorted by ``(time, slot)``.
+    Epoch content only ever depends on time values (the trim makes it
+    independent of argpartition tie-breaking), so this selection is
+    bit-identical.  Returns ``(positions, times)`` into ``row`` sorted by
+    ``(time, position)``.
 
-    ``work`` (with its ``sentinel``) restricts the scans to a candidate
-    subset: an ascending array of slot ids guaranteed to hold the
-    smallest death times, every excluded slot's time being >= sentinel
-    (see the prefilter in :func:`_advance_trial`).  Selection criteria
-    are strict ``<`` comparisons against bounds verified to sit at or
-    below the sentinel, so the subset sees exactly the full row's epoch;
-    when that verification fails (bound above the sentinel, an unbounded
-    epoch, or a tie class touching the sentinel) the function returns
-    ``None`` and the caller re-runs the selection on the full row.
+    ``row`` may be a compact work row (see :func:`_advance_trial`): the
+    death times of an ascending slot subset guaranteed to hold the
+    smallest ones, every excluded time being ``>= sentinel``.  Selection
+    criteria are strict ``<`` comparisons against bounds verified to sit
+    at or below the sentinel, so the subset sees exactly the full row's
+    epoch; when that verification fails (bound above the sentinel, or a
+    tie class touching it) the function returns ``None`` and the caller
+    re-runs the selection on the full row, where the sentinel is
+    infinite and the verification cannot fail.
     """
     from repro.sim.lifetime import BATCH_LIMIT
 
-    if work is not None:
-        epoch = _fast_epoch_work(current_death[work], floor, w_max, sentinel)
-        if epoch is None:
-            return None
-        pos, times = epoch
-        # ``work`` ascending keeps work[pos] in the ascending-slot order
-        # the stable time sort of the helper relied on.
-        return work[pos], times
-
-    over = current_death.size > BATCH_LIMIT
+    over = row.size > BATCH_LIMIT
     if math.isinf(floor):
-        if over:
-            t_max = np.partition(current_death, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-            sel = np.flatnonzero(current_death < t_max)
-            if not sel.size:
-                sel = np.flatnonzero(current_death == t_max)
+        if not over:
+            pos = np.arange(row.size, dtype=np.intp)
         else:
-            sel = np.arange(current_death.size, dtype=np.intp)
+            t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
+            if not t_max < sentinel:
+                return None
+            pos = np.flatnonzero(row < t_max)
+            if not pos.size:
+                pos = np.flatnonzero(row == t_max)
     else:
-        bound = float(current_death.min()) + floor / w_max
-        sel = np.flatnonzero(current_death < bound)
-        if over and sel.size >= BATCH_LIMIT:
-            t_max = np.partition(current_death, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-            sel = np.flatnonzero(current_death < t_max)
-            if not sel.size:
-                sel = np.flatnonzero(current_death == t_max)
-        elif not sel.size:
-            # Degenerate floor == 0.0: the solo prefix clamp
+        t_min = float(row.min())
+        bound = t_min + floor / w_max
+        if not bound <= sentinel:
+            return None
+        pos = np.flatnonzero(row < bound)
+        if over and pos.size >= BATCH_LIMIT:
+            t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
+            if not t_max < sentinel:
+                return None
+            pos = np.flatnonzero(row < t_max)
+            if not pos.size:
+                pos = np.flatnonzero(row == t_max)
+        elif not pos.size:
+            # Degenerate floor == 0.0: the scan's prefix clamp
             # (max(prefix, 1)) keeps exactly the earliest death, ties
             # broken by slot id.
-            sel = np.flatnonzero(current_death == current_death.min())[:1]
-    times = current_death[sel]
-    # flatnonzero/arange yield ascending slots, so a stable time sort
-    # equals the solo kernel's lexsort((sel, times)).  Ties are common
+            if not t_min < sentinel:
+                return None
+            pos = np.flatnonzero(row == t_min)[:1]
+    times = row[pos]
+    # flatnonzero/arange yield ascending positions, so a stable time sort
+    # equals the scan's lexsort((sel, times)).  Ties are common
     # (region-mates share an endurance), so sort stably outright.
     order = np.argsort(times, kind="stable")
-    return sel[order], times[order]
+    return pos[order], times[order]
 
 
 def _delegate_with_shadow(
@@ -246,16 +199,8 @@ def _delegate_with_shadow(
         paranoia=paranoia,
         shadow_sample=shadow_sample,
     )
-    metadata = dict(result.metadata)
-    metadata["engine"] = ENGINE_NAME
-    return SimulationResult(
-        writes_served=result.writes_served,
-        total_endurance=result.total_endurance,
-        deaths=result.deaths,
-        replacements=result.replacements,
-        failure_reason=result.failure_reason,
-        metadata=metadata,
-        timeline=result.timeline,
+    return dataclasses.replace(
+        result, metadata={**result.metadata, "engine": ENGINE_NAME}
     )
 
 
@@ -332,7 +277,7 @@ def simulate_ensemble(
     # count -- skipping attach(), wear_weights() and the element-wise
     # weight-cache comparison entirely.  Keyed by slot count.
     uniform_cache: dict = {}
-    from repro.sim.lifetime import accounting_tolerance
+    from repro.sim.lifetime import accounting_tolerance, build_result
 
     results: List[SimulationResult] = []
     for index, member in enumerate(members):
@@ -465,77 +410,49 @@ def simulate_ensemble(
                     f"{task_key}#trial={index}" if task_key else identity
                 )
 
-            # The fast selection needs every death time finite for the
-            # trial's whole life: no removals (scheme promise), every
-            # slot wear-prone, and no state corruption in flight.
-            fast = (
-                state.never_removes
-                and corruptor is None
-                and guard is None
-                and slots > 0
-                and all_prone
-            )
-
         with maybe_span(metrics, "sim/kernel"):
             try:
-                served, deaths, replacements, failure_reason, timeline, extra_meta = (
-                    _advance_trial(
-                        state,
-                        index,
-                        endurance=endurance,
-                        backing=backing,
-                        weights=weights,
-                        eta=eta,
-                        current_death=current_death,
-                        min_user_slots=min_user_slots,
-                        active_weight=active_weight,
-                        w_max=w_max,
-                        guard=guard,
-                        corruptor=corruptor,
-                        integrity_key=integrity_key,
-                        total_endurance=total_endurance,
-                        record_timeline=record_timeline,
-                        max_timeline_events=max_timeline_events,
-                        fast=fast,
-                        w_scalar=w_scalar,
-                        metrics=metrics,
-                    )
+                outcome = _advance_trial(
+                    state,
+                    index,
+                    endurance=endurance,
+                    backing=backing,
+                    weights=weights,
+                    eta=eta,
+                    current_death=current_death,
+                    min_user_slots=min_user_slots,
+                    active_weight=active_weight,
+                    w_max=w_max,
+                    guard=guard,
+                    corruptor=corruptor,
+                    integrity_key=integrity_key,
+                    total_endurance=total_endurance,
+                    record_timeline=record_timeline,
+                    max_timeline_events=max_timeline_events,
+                    w_scalar=w_scalar,
+                    metrics=metrics,
                 )
             except InvariantViolation as violation:
                 write_violation_bundle(violation)
                 raise
 
-        if metrics is not None:
-            metrics.inc("sim.runs")
-            metrics.inc("sim.deaths", deaths)
-            metrics.inc("sim.replacements", replacements)
-            for name, value in extra_meta.items():
-                metrics.inc(f"sim.{name}", value)
-            metrics.observe("sim.deaths_per_run", deaths)
-
-        metadata = {
-            "attack": attack_desc,
-            "wearleveler": wl_desc,
-            "sparing": sparing_desc,
-            "fault_model": fault_desc,
-            "slots": slots,
-            "engine": ENGINE_NAME,
-            **extra_meta,
-        }
         results.append(
-            SimulationResult(
-                writes_served=served,
+            build_result(
+                outcome,
                 total_endurance=total_endurance,
-                deaths=deaths,
-                replacements=replacements,
-                failure_reason=failure_reason,
-                metadata=metadata,
-                timeline=tuple(timeline),
+                slots=slots,
+                engine=ENGINE_NAME,
+                attack=attack_desc,
+                wearleveler=wl_desc,
+                sparing=sparing_desc,
+                fault_model=fault_desc,
+                metrics=metrics,
             )
         )
     if metrics is not None:
         metrics.inc("sim.ensembles")
     return results
+
 
 def _advance_trial(
     state: BatchedSchemeState,
@@ -555,30 +472,36 @@ def _advance_trial(
     total_endurance: float,
     record_timeline: bool,
     max_timeline_events: int,
-    fast: bool,
     w_scalar: Optional[float] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[float, int, int, str, List[TimelineEvent], dict]:
-    """Advance one trial to device failure (solo epoch-kernel port).
+    """Advance one trial to device failure: the batched epoch kernel.
 
-    Identical structure to the solo ``fluid-batched`` loop: the floor is
-    fetched once before the loop and never refreshed, epochs are cut and
-    truncated the same way, and every accounting expression keeps the
-    solo evaluation order, so death/replacement counts and the served
-    integral match bit for bit.  ``fast`` switches only the epoch
-    *selection* to :func:`_fast_epoch` (proven equivalent).  ``w_scalar``
-    may be set when every entry of ``weights`` equals it; scalar
-    divisions then replace the elementwise gathers bit-identically.
+    Every ``fluid-batched`` run (as trial 0 of a one-scheme
+    :class:`~repro.sparing.base.FallbackSchemeState`) and every
+    ``fluid-ensemble`` trial runs this loop.  Each pass selects the next
+    chronologically safe epoch of deaths, decides it in one
+    ``replace_batch`` call and integrates the served writes of the epoch
+    with a cumulative sum.  The floor is fetched once before the loop;
+    ``w_scalar`` may be set when every entry of ``weights`` equals it, and
+    scalar divisions then replace the elementwise gathers
+    bit-identically.
 
-    The trial also runs the solo kernel's adaptive regime switch: after
-    :data:`~repro.sim.lifetime.SEQUENTIAL_ENTER_STREAK` consecutive
-    one-death epochs, selection moves to a
-    :class:`~repro.sim.frontier.DeathFrontier` over the compact work row
-    (or the full row) and back the moment an epoch cannot be proven
-    identical to the vectorized selection.  Epoch *content* is identical
-    in either regime, so results stay bit-identical to solo runs; only
-    the regime counters in the returned extra metadata may differ from
-    the solo kernel's (the index's work-set geometry differs).
+    The selection strategy follows from what the loop can observe, never
+    from an option; every strategy selects exactly the same epochs:
+
+    * **value partition** (:func:`_fast_epoch`) when the scheme never
+      removes slots and every slot is wear-prone, so every death time
+      stays finite, and no guard or corruptor inspects or mutates the
+      full arrays -- on **compact work rows** when the replacement
+      capacity is known;
+    * the **argpartition / safe-prefix scan** otherwise;
+    * the **death-frontier** sequential regime after
+      :data:`~repro.sim.lifetime.SEQUENTIAL_ENTER_STREAK` consecutive
+      one-death epochs, handing back to the vectorized selection the
+      moment an epoch cannot be proven identical to it.  A one-death
+      frontier epoch of a trial backed by a real scheme instance skips
+      the array machinery for the scheme's scalar ``replace()``.
     """
     from repro.sim.frontier import DeathFrontier
     from repro.sim.lifetime import (
@@ -602,62 +525,72 @@ def _advance_trial(
     failure_reason = _DEGENERATE_REASON
     timeline: List[TimelineEvent] = []
     floor = state.replacement_extra_floor(trial)
-    # Tightened safe-prefix bound (solo-kernel mirror): the largest
-    # weight among still-prone slots, recomputed lazily when the last
-    # prone slot at the current maximum is removed.  Identical update
-    # points to the solo kernel keep epoch grouping bit-identical.
+    scheme = state.scheme(trial)
+    # Tightened safe-prefix bound: the largest weight among *still prone*
+    # slots.  Slots only ever leave the prone set (removal or terminal
+    # failure), so the last recomputed maximum stays a valid upper bound;
+    # ``w_max_live`` lazily counts the prone slots at that maximum and
+    # triggers a recompute only when it hits zero.
     w_max_active = w_max
-    w_max_live = -1
+    w_max_live = -1  # -1 = count not yet materialized
+    tighten = floor is not None and not math.isinf(floor)
+    # Adaptive regime switch: consecutive one-death epochs (the
+    # concentrated-wear signature) hand selection to the incremental
+    # death-frontier index.  Guards re-inspect full state every round and
+    # corruption mutates it behind the index's back, so both pin the
+    # kernel to the vectorized regime.
     frontier: Optional[DeathFrontier] = None
-    frontier_on_work = False
     sequential_ok = guard is None and corruptor is None
+    epoch_cap = min(SEQUENTIAL_EPOCH_CAP, BATCH_LIMIT - 1)
     size1_streak = 0
     sequential_rounds = 0
     regime_switches = 0
     full_scans = 0
 
-    # Candidate prefilter (fast path only).  A replacement's new death
-    # time always lands at or above the epoch bound that selected it --
-    # that is exactly why epoch grouping is chronologically safe -- so
-    # with at most ``capacity`` replacements ever granted and at most
-    # ``BATCH_LIMIT`` slots selected per epoch, every epoch draws from
-    # the ``capacity + BATCH_LIMIT`` smallest initial death times.
-    # Restricting the per-epoch scans to that work-set is exact while
-    # each epoch's bound stays at or below the smallest excluded time
-    # (``_fast_epoch`` checks, and the trial falls back to full-row
-    # scans if the guarantee ever slips).
+    # The value-partition selection needs every death time finite for the
+    # trial's whole life: no removals (scheme promise), every slot
+    # wear-prone, and nobody reading or corrupting the full arrays.
+    fast = (
+        state.never_removes
+        and sequential_ok
+        and backing.size > 0
+        and bool(weights.min() > 0.0)
+    )
+    # The live rows the loop reads and scatters into, indexed by epoch
+    # *keys*: the full arrays (keys are slots), or compact work rows
+    # (keys are positions in ``work``).  A replacement's new death time
+    # always lands at or above the epoch bound that selected it -- that
+    # is exactly why epoch grouping is chronologically safe -- so with at
+    # most ``capacity`` replacements ever granted and at most
+    # ``BATCH_LIMIT`` slots selected per epoch, every epoch draws from the
+    # ``capacity + BATCH_LIMIT`` smallest initial death times.  Those
+    # candidates' death times, backing lines and weights are copied into
+    # dense rows that fit the cache (same float values, so decisions and
+    # accounting are unchanged) while each epoch's bound stays at or below
+    # the smallest excluded time, ``work_sentinel``; the rows are
+    # scattered back into the full arrays when the trial ends or the
+    # guarantee slips.
+    death_row, backing_row, weight_row = current_death, backing, weights
     work: Optional[np.ndarray] = None
     work_sentinel = math.inf
-    # Compact mode: with a work-set in place and nobody auditing the full
-    # arrays mid-loop, the candidates' death times, backing lines and
-    # weights are copied into dense rows that fit the cache, every
-    # per-epoch scan and scatter runs on those rows (same float values,
-    # compact layout, so decisions and accounting are unchanged), and the
-    # rows are scattered back into the full arrays when the trial ends or
-    # falls back to full-row scans.
-    cd_work: Optional[np.ndarray] = None
-    bk_work: Optional[np.ndarray] = None
-    w_work: Optional[np.ndarray] = None
-    if fast:
-        capacity = state.replacement_capacity(trial)
-        if capacity is not None:
-            limit = int(capacity) + BATCH_LIMIT + 1
-            if limit < current_death.size:
-                # Value-partition: every slot strictly below the
-                # (limit+1)-th smallest death time, ascending (and so
-                # already sorted), every excluded time >= the sentinel.
-                # Ties at the threshold land outside the set, so require
-                # enough candidates for the in-set partitions.
-                threshold = float(np.partition(current_death, limit)[limit])
-                candidates = np.flatnonzero(current_death < threshold)
-                if candidates.size > BATCH_LIMIT:
-                    work = candidates
-                    work_sentinel = threshold
-                    if guard is None and corruptor is None:
-                        cd_work = current_death[work]
-                        bk_work = backing[work]
-                        if w_scalar is None:
-                            w_work = weights[work]
+    capacity = state.replacement_capacity(trial) if fast else None
+    if capacity is not None:
+        limit = int(capacity) + BATCH_LIMIT + 1
+        if limit < current_death.size:
+            # Value partition: every slot strictly below the (limit+1)-th
+            # smallest death time, ascending (and so already sorted),
+            # every excluded time >= the sentinel.  Ties at the threshold
+            # land outside the set, so require enough candidates for the
+            # in-set partitions.
+            threshold = float(np.partition(current_death, limit)[limit])
+            candidates = np.flatnonzero(current_death < threshold)
+            if candidates.size > BATCH_LIMIT:
+                work = candidates
+                work_sentinel = threshold
+                death_row = current_death[work]
+                backing_row = backing[work]
+                if w_scalar is None:
+                    weight_row = weights[work]
 
     def view():
         assert guard is not None
@@ -671,6 +604,8 @@ def _advance_trial(
         )
 
     while True:
+        # A "round" is every pass through the loop (including the final
+        # empty one); ``epochs`` counts passes that processed deaths.
         rounds += 1
         if corruptor is not None:
             kind = corruptor.corrupt_state(integrity_key, rounds)
@@ -681,19 +616,13 @@ def _advance_trial(
         if guard is not None:
             guard.on_round(view)
 
-        pos = None
-        sel = None
+        keys = None
         if frontier is not None:
-            # Sequential micro-loop: pop the epoch off the index (over
-            # the compact work row in compact mode, positions doubling as
-            # slot order because ``work`` is ascending) and fall back the
-            # moment equivalence to the vectorized selection is unproven.
-            picked = frontier.pop_epoch(
-                floor,
-                w_max_active,
-                min(SEQUENTIAL_EPOCH_CAP, BATCH_LIMIT - 1),
-                ceiling=work_sentinel if frontier_on_work else math.inf,
-            )
+            # Sequential micro-loop: pop the epoch straight off the index
+            # -- O(epoch log workset), independent of device size -- and
+            # fall back the moment equivalence to the vectorized
+            # selection cannot be proven.
+            picked = frontier.pop_epoch(floor, w_max_active, epoch_cap, work_sentinel)
             if picked is None:
                 frontier = None
                 size1_streak = 0
@@ -702,89 +631,151 @@ def _advance_trial(
                 if deaths > 0:
                     failure_reason = _EXHAUSTED_REASON
                 break
+            elif scheme is not None and len(picked[0]) == 1:
+                # One-death epoch: the vectorized body below collapses to
+                # a handful of scalar IEEE operations (each the
+                # element-wise form of its array counterpart, so results
+                # stay bit-identical), and the scheme's scalar replace()
+                # -- pinned equivalent to replace_batch by the
+                # differential suite -- skips the per-batch array
+                # machinery entirely.
+                sequential_rounds += 1
+                epochs += 1
+                key = picked[0][0]
+                v = picked[1][0]
+                slot = key if work is None else int(work[key])
+                served = served + (v - v_now) * active_weight * eta
+                v_now = v
+                deaths += 1
+                dead_line = int(backing_row[key])
+                outcome = scheme.replace(slot, dead_line)
+                if metrics is not None:
+                    metrics.observe("sim.epoch_size", 1)
+                line = None
+                if isinstance(outcome, ReplaceWith):
+                    action, line = BATCH_REPLACE, int(outcome.line)
+                    backing_row[key] = line
+                    extra = endurance[line]
+                elif isinstance(outcome, ExtendBudget):
+                    action, extra = BATCH_EXTEND, outcome.wear
+                else:
+                    extra = None
+                    death_row[key] = math.inf
+                    if isinstance(outcome, RemoveSlot):
+                        action = BATCH_REMOVE
+                        live_count -= 1
+                        active_weight -= float(weights[slot])
+                        if tighten:
+                            w_max_active, w_max_live = _retire_max_weight(
+                                weights,
+                                current_death,
+                                weights[slot],
+                                w_max_active,
+                                w_max_live,
+                            )
+                    else:
+                        assert isinstance(outcome, FailDevice)
+                        action = BATCH_FAIL
+                        failure_reason = outcome.reason
+                if extra is not None:
+                    replacements += 1
+                    divisor = weight_row[key] if w_scalar is None else w_scalar
+                    new_death = v + extra / divisor
+                    death_row[key] = new_death
+                    frontier.push(key, new_death)
+                if record_timeline and len(timeline) < max_timeline_events:
+                    timeline.append(
+                        TimelineEvent(
+                            writes_served=served,
+                            slot=slot,
+                            dead_line=dead_line,
+                            action=_ACTION_NAMES[action],
+                            replacement_line=line,
+                        )
+                    )
+                if action == BATCH_FAIL:
+                    break
+                if live_count < min_user_slots:
+                    failure_reason = (
+                        f"capacity degraded below user capacity "
+                        f"({live_count} < {min_user_slots} slots)"
+                    )
+                    break
+                continue
             else:
                 sequential_rounds += 1
+                keys = np.asarray(picked[0], dtype=np.intp)
                 times = np.asarray(picked[1], dtype=float)
-                if frontier_on_work:
-                    pos = np.asarray(picked[0], dtype=np.intp)
-                    sel = work[pos]
-                else:
-                    sel = np.asarray(picked[0], dtype=np.intp)
-        if sel is None:
+        if keys is None:
             full_scans += 1
             if fast:
-                epoch = None
-                if work is not None:
-                    if cd_work is not None:
-                        found = _fast_epoch_work(
-                            cd_work, floor, w_max_active, work_sentinel
-                        )
-                        if found is not None:
-                            pos, times = found
-                            epoch = (work[pos], times)
-                    else:
-                        epoch = _fast_epoch(
-                            current_death, floor, w_max_active, work, work_sentinel
-                        )
-                    if epoch is None:
-                        # Guarantee slipped: full rows from here on.
-                        if cd_work is not None:
-                            current_death[work] = cd_work
-                            backing[work] = bk_work
-                            cd_work = bk_work = w_work = None
-                        work = None
-                if epoch is None:
-                    epoch = _fast_epoch(current_death, floor, w_max_active)
-                sel, times = epoch
+                found = _fast_epoch(death_row, floor, w_max_active, work_sentinel)
+                if found is None:
+                    # Guarantee slipped: full rows from here on.
+                    current_death[work] = death_row
+                    backing[work] = backing_row
+                    death_row, backing_row, weight_row = current_death, backing, weights
+                    work = None
+                    work_sentinel = math.inf
+                    found = _fast_epoch(current_death, floor, w_max_active)
+                keys, times = found
             else:
                 candidates = np.flatnonzero(np.isfinite(current_death))
                 if candidates.size == 0:
                     if deaths > 0:
                         failure_reason = _EXHAUSTED_REASON
                     break
+                # Next BATCH_LIMIT deaths, in exact heap order (time, slot).
                 if candidates.size > BATCH_LIMIT:
                     nearest = np.argpartition(
                         current_death[candidates], BATCH_LIMIT - 1
                     )[:BATCH_LIMIT]
-                    sel = candidates[nearest]
-                    times = current_death[sel]
+                    keys = candidates[nearest]
+                    times = current_death[keys]
+                    # argpartition breaks time ties arbitrarily at the cut,
+                    # so trim to a *complete* time-prefix: everything
+                    # strictly before the selection's max time, or -- when
+                    # the whole selection ties -- the full tie class.
                     t_max = times.max()
                     strictly_before = times < t_max
                     if strictly_before.any():
-                        sel = sel[strictly_before]
+                        keys = keys[strictly_before]
                         times = times[strictly_before]
                     else:
-                        sel = candidates[current_death[candidates] == t_max]
-                        times = current_death[sel]
+                        keys = candidates[current_death[candidates] == t_max]
+                        times = current_death[keys]
                 else:
-                    sel = candidates
-                    times = current_death[sel]
-                order = np.lexsort((sel, times))
-                sel = sel[order]
+                    keys = candidates
+                    times = current_death[keys]
+                order = np.lexsort((keys, times))
+                keys = keys[order]
                 times = times[order]
+                # Chronologically safe prefix: no replacement made inside
+                # the window can schedule its next death back into it.
                 if floor is None:
                     prefix = 1
                 elif math.isinf(floor):
-                    prefix = sel.size
+                    prefix = keys.size
                 else:
                     bound = times[0] + floor / w_max_active
                     prefix = max(
                         int(np.searchsorted(times, bound, side="left")), 1
                     )
-                sel = sel[:prefix]
+                keys = keys[:prefix]
                 times = times[:prefix]
         epochs += 1
 
-        # Fancy index: a copy, safe to keep.  In compact mode the backing
-        # row is the live copy, so read it there.
-        dead_lines = bk_work[pos] if pos is not None else backing[sel]
+        sel = keys if work is None else work[keys]
+        dead_lines = backing_row[keys]  # fancy index: a copy, safe to keep
         actions, out_lines, out_wear, fail_reason = state.replace_batch(
             trial, sel, dead_lines
         )
         count = int(actions.size)
 
-        # never_removes schemes cannot emit BATCH_REMOVE, so the scan
-        # for removals is skipped outright on the fast path.
+        # Capacity-degradation failure truncates like the scalar loop: the
+        # first removal dropping live slots below the floor is still
+        # counted, everything after it never happens.  never_removes
+        # schemes cannot emit BATCH_REMOVE, so the fast path skips the scan.
         if fast:
             removal_positions = _EMPTY_POSITIONS
         else:
@@ -799,21 +790,21 @@ def _advance_trial(
         else:
             capacity_failed = False
         sel = sel[:count]
+        keys = keys[:count]
         times = times[:count]
         dead_lines = dead_lines[:count]
-        if pos is not None:
-            pos = pos[:count]
         lines = out_lines[:count]
         wear = out_wear[:count]
         deaths += count
         if guard is not None:
             guard.record_batch(sel, dead_lines, actions, lines, wear)
 
-        # Served-writes integral; with no removals the per-segment active
-        # weight is constant, and `active_weight - 0.0` is exact, so the
-        # scalar product keeps the solo elementwise rounding.  The manual
-        # difference is the same subtractions ``np.diff(..., prepend=)``
-        # performs, minus its concatenate.
+        # Served-writes integral over the epoch: per-segment active weight
+        # drops by the weight of each slot removed so far.  With no
+        # removals the active weight is constant, and `active_weight - 0.0`
+        # is exact, so the scalar product keeps the elementwise rounding.
+        # The manual difference is the same subtractions
+        # ``np.diff(..., prepend=)`` performs, minus its concatenate.
         dv = np.empty(count)
         dv[0] = times[0] - v_now
         if count > 1:
@@ -832,99 +823,51 @@ def _advance_trial(
         if removal_positions.size:
             active_weight -= float(drained[-1])
 
+        # Apply the verdicts.  Constant weight vectors divide by the
+        # scalar: the elementwise quotients are bit-identical and the
+        # weights row stays untouched.
         rep = np.flatnonzero(actions == BATCH_REPLACE)
         if rep.size:
             replacements += int(rep.size)
             if rep.size == count:
                 # All-replace epoch (the Max-WE steady state): the gather
                 # by ``rep`` is the identity, so skip it.
-                rep_slots, rep_lines, rep_times = sel, lines, times
-                rep_pos = pos
+                rep_keys, rep_lines, rep_times = keys, lines, times
             else:
-                rep_slots = sel[rep]
-                rep_lines = lines[rep]
-                rep_times = times[rep]
-                rep_pos = pos[rep] if pos is not None else None
-            # Constant weight vectors divide by the scalar instead: the
-            # elementwise quotients are bit-identical and the 472 KB
-            # weights row stays untouched.
-            if rep_pos is not None:
-                bk_work[rep_pos] = rep_lines
-                divisor = w_work[rep_pos] if w_scalar is None else w_scalar
-                rep_deaths = rep_times + endurance[rep_lines] / divisor
-                cd_work[rep_pos] = rep_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        rep_pos.tolist(), rep_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
-            else:
-                backing[rep_slots] = rep_lines
-                divisor = weights[rep_slots] if w_scalar is None else w_scalar
-                rep_deaths = rep_times + endurance[rep_lines] / divisor
-                current_death[rep_slots] = rep_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        rep_slots.tolist(), rep_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
+                rep_keys, rep_lines, rep_times = keys[rep], lines[rep], times[rep]
+            backing_row[rep_keys] = rep_lines
+            divisor = weight_row[rep_keys] if w_scalar is None else w_scalar
+            rep_deaths = rep_times + endurance[rep_lines] / divisor
+            death_row[rep_keys] = rep_deaths
+            if frontier is not None:
+                for key, death in zip(rep_keys.tolist(), rep_deaths.tolist()):
+                    frontier.push(key, death)
         ext = np.flatnonzero(actions == BATCH_EXTEND)
         if ext.size:
             replacements += int(ext.size)
-            if pos is not None:
-                ext_pos = pos[ext]
-                ext_divisor = w_work[ext_pos] if w_scalar is None else w_scalar
-                ext_deaths = times[ext] + wear[ext] / ext_divisor
-                cd_work[ext_pos] = ext_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        ext_pos.tolist(), ext_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
-            else:
-                ext_slots = sel[ext]
-                ext_divisor = (
-                    weights[ext_slots] if w_scalar is None else w_scalar
-                )
-                ext_deaths = times[ext] + wear[ext] / ext_divisor
-                current_death[ext_slots] = ext_deaths
-                if frontier is not None:
-                    for key, death in zip(
-                        ext_slots.tolist(), ext_deaths.tolist()
-                    ):
-                        frontier.push(key, death)
+            ext_keys = keys[ext]
+            divisor = weight_row[ext_keys] if w_scalar is None else w_scalar
+            ext_deaths = times[ext] + wear[ext] / divisor
+            death_row[ext_keys] = ext_deaths
+            if frontier is not None:
+                for key, death in zip(ext_keys.tolist(), ext_deaths.tolist()):
+                    frontier.push(key, death)
         if removal_positions.size:
+            # Removals imply the full rows (compact rows need
+            # never_removes), so ``sel`` indexes them directly.
             removed_slots = sel[removal_positions]
             current_death[removed_slots] = math.inf
             live_count -= int(removal_positions.size)
-            if floor is not None and not math.isinf(floor):
-                # Solo-kernel mirror: identical w_max_active updates keep
-                # epoch grouping bit-identical to solo fluid-batched.
-                dead_w = weights[removed_slots]
-                if np.any(dead_w == w_max_active):
-                    if w_max_live < 0:
-                        w_max_live = int(
-                            np.count_nonzero(
-                                weights[np.isfinite(current_death)]
-                                == w_max_active
-                            )
-                        )
-                    else:
-                        w_max_live -= int(
-                            np.count_nonzero(dead_w == w_max_active)
-                        )
-                    if w_max_live == 0:
-                        survivors = weights[np.isfinite(current_death)]
-                        if survivors.size:
-                            w_max_active = float(survivors.max())
-                            w_max_live = int(
-                                np.count_nonzero(survivors == w_max_active)
-                            )
+            if tighten:
+                w_max_active, w_max_live = _retire_max_weight(
+                    weights,
+                    current_death,
+                    weights[removed_slots],
+                    w_max_active,
+                    w_max_live,
+                )
         if fail_reason is not None:
-            if pos is not None:
-                cd_work[pos[count - 1]] = math.inf
-            else:
-                current_death[sel[count - 1]] = math.inf
+            death_row[keys[count - 1]] = math.inf
 
         if record_timeline and len(timeline) < max_timeline_events:
             room = max_timeline_events - len(timeline)
@@ -957,25 +900,23 @@ def _advance_trial(
             if count == 1:
                 size1_streak += 1
                 if size1_streak >= SEQUENTIAL_ENTER_STREAK and BATCH_LIMIT > 1:
-                    target = cd_work if cd_work is not None else current_death
-                    candidate = DeathFrontier(target, limit=FRONTIER_LIMIT)
+                    candidate = DeathFrontier(death_row, limit=FRONTIER_LIMIT)
                     if candidate.degenerate:
                         # A minimum tie class wider than the work set can
                         # only keep degenerating; stay vectorized.
                         sequential_ok = False
                     else:
                         frontier = candidate
-                        frontier_on_work = cd_work is not None
                         size1_streak = 0
                         regime_switches += 1
             else:
                 size1_streak = 0
 
-    if cd_work is not None:
+    if work is not None:
         # Publish the compact rows so post-trial consumers of the full
         # arrays observe exactly the values the loop computed.
-        current_death[work] = cd_work
-        backing[work] = bk_work
+        current_death[work] = death_row
+        backing[work] = backing_row
     if guard is not None:
         guard.final_check(view)
     extra_meta = {
@@ -985,3 +926,34 @@ def _advance_trial(
         "full_scans": full_scans,
     }
     return served, deaths, replacements, failure_reason, timeline, extra_meta
+
+
+def _retire_max_weight(
+    weights: np.ndarray,
+    current_death: np.ndarray,
+    dead_w,
+    w_max_active: float,
+    w_max_live: int,
+) -> Tuple[float, int]:
+    """Keep the tightened safe-prefix bound honest after removals.
+
+    ``dead_w`` holds the weights of the slots just removed (their death
+    times already ``inf``).  When the last prone slot at ``w_max_active``
+    goes, the next maximum among the survivors takes its place.  Returns
+    the updated ``(w_max_active, w_max_live)``.
+    """
+    hits = int(np.count_nonzero(dead_w == w_max_active))
+    if not hits:
+        return w_max_active, w_max_live
+    if w_max_live < 0:
+        w_max_live = int(
+            np.count_nonzero(weights[np.isfinite(current_death)] == w_max_active)
+        )
+    else:
+        w_max_live -= hits
+    if w_max_live == 0:
+        survivors = weights[np.isfinite(current_death)]
+        if survivors.size:
+            w_max_active = float(survivors.max())
+            w_max_live = int(np.count_nonzero(survivors == w_max_active))
+    return w_max_active, w_max_live

@@ -16,51 +16,62 @@ writes is the integral above.  The exact per-write
 :class:`~repro.sim.reference.ReferenceSimulator` validates the
 approximation end to end in the test suite.
 
-Two implementations share this model:
+Two engines implement this model:
 
 * ``fluid-exact`` -- the scalar event loop: a heap of death times,
   one :meth:`~repro.sparing.base.SpareScheme.replace` call per death.
-* ``fluid-batched`` (default) -- the vectorized epoch kernel: death
-  times live in one numpy array; each epoch selects the next batch of
-  deaths with ``argpartition``, trims it to a *chronologically safe
-  prefix*, decides the whole prefix in one
+  It is the reference the shadow audit re-executes runs against.
+* ``fluid-batched`` (default) -- the vectorized epoch kernel,
+  :func:`repro.sim.ensemble._advance_trial`: death times live in one
+  numpy array; each epoch selects the next batch of deaths, trims it
+  to a *chronologically safe prefix*, decides the whole prefix in one
   :meth:`~repro.sparing.base.SpareScheme.replace_batch` call, and
-  integrates the served writes of the epoch with a cumulative sum.
+  integrates the served writes of the epoch with a cumulative sum.  A
+  solo run is the one-trial case of the ``fluid-ensemble`` engine: it
+  wraps its initialized scheme in a one-scheme
+  :class:`~repro.sparing.base.FallbackSchemeState` and runs the same
+  loop as trial 0.
 
 The safe prefix is what keeps batching exact rather than approximate.
 From a batch sorted by ``(death time, slot)`` -- the same order the heap
 pops -- only deaths with ``v < v_first + floor / w_max`` are processed
 together, where ``floor`` is the scheme's lower bound on the wear budget
 any single replacement adds (:meth:`SpareScheme.replacement_extra_floor`)
-and ``w_max`` the largest wear weight.  Within such a window no
-replacement can push its slot's *next* death back inside the window, so
-deciding the prefix in one call observes exactly the event order the
-scalar loop would.  Death times themselves are computed with the same
-float expression in both engines, so death and replacement counts agree
-exactly; only the summation order of the served-writes integral differs
-(agreement to ~1e-12 relative, tested at 1e-9).
+and ``w_max`` the largest wear weight among still-prone slots.  Within
+such a window no replacement can push its slot's *next* death back
+inside the window, so deciding the prefix in one call observes exactly
+the event order the scalar loop would.  Death times themselves are
+computed with the same float expression in both engines, so death and
+replacement counts agree exactly; only the summation order of the
+served-writes integral differs (agreement to ~1e-12 relative, tested at
+1e-9).
 
-Concentrated-wear attacks (BPA) collapse the safe prefix to single
-deaths, which used to cost a full-device scan per death.  The batched
-kernel therefore runs in two *regimes*: after
-``SEQUENTIAL_ENTER_STREAK`` consecutive one-death epochs it builds a
-:class:`~repro.sim.frontier.DeathFrontier` -- a lazy-deletion heap over
-``current_death`` in exact ``(time, slot)`` lexsort order, bounded to
-the ``FRONTIER_LIMIT`` soonest deaths -- and pops provably-identical
-epochs in O(log work-set) per death; single-death epochs further
-collapse to the scalar expressions their array counterparts reduce to.
-The frontier bails (and the kernel falls back to the vectorized scan)
-whenever equivalence cannot be proven.  In this regime the safe-prefix
-bound also tightens from the global ``w_max`` to the maximum weight
-among still-prone slots.  Result metadata counts the bookkeeping:
-``epochs`` (passes that processed deaths), ``sequential_rounds``
-(frontier-served passes), ``regime_switches`` (transitions either way),
-and ``full_scans`` (full-array selection passes); the same names land
-in the metrics registry as ``sim.*`` counters next to a
-``sim.epoch_size`` histogram.  ``fluid-exact`` routes its heap through
-the same index, so its compaction rebuilds stopped rescanning the
-device (``heap_compactions`` keeps its historical meaning).  See
-``docs/fluid_engine.md``, "Kernel regimes".
+The kernel picks how it *selects* each epoch from what it can observe
+of the run -- never from an option -- and every strategy selects the
+same epochs (``docs/fluid_engine.md``, "Kernel regimes"):
+
+* a value partition over compact work rows when the scheme never
+  removes slots, every slot is wear-prone, the replacement capacity is
+  known, and no guard or corruptor is active (the full-row value
+  partition when the capacity is unknown);
+* the argpartition / safe-prefix scan otherwise;
+* after ``SEQUENTIAL_ENTER_STREAK`` consecutive one-death epochs (the
+  BPA signature), a :class:`~repro.sim.frontier.DeathFrontier` -- a
+  lazy-deletion heap over the death times in exact ``(time, slot)``
+  order, bounded to the ``FRONTIER_LIMIT`` soonest deaths -- pops
+  provably-identical epochs in O(log work-set) per death, and a
+  one-death epoch of a run backed by a real scheme instance collapses
+  to the scheme's scalar ``replace()``.  The frontier bails back to the
+  vectorized selection whenever equivalence cannot be proven.
+
+Result metadata counts the bookkeeping: ``epochs`` (passes that
+processed deaths), ``sequential_rounds`` (frontier-served passes),
+``regime_switches`` (transitions either way), and ``full_scans``
+(vectorized selection passes); the same names land in the metrics
+registry as ``sim.*`` counters next to a ``sim.epoch_size`` histogram.
+``fluid-exact`` routes its heap through the same index, so its
+compaction rebuilds stopped rescanning the device (``heap_compactions``
+keeps its historical meaning).
 """
 
 from __future__ import annotations
@@ -85,6 +96,7 @@ from repro.sparing.base import (
     BATCH_REPLACE,
     ExtendBudget,
     FailDevice,
+    FallbackSchemeState,
     RemoveSlot,
     ReplaceWith,
     SpareScheme,
@@ -97,7 +109,7 @@ from repro.wearlevel.base import WearLeveler
 from repro.wearlevel.none import NoWearLeveling
 
 #: Engine names accepted by :class:`LifetimeSimulator` and the CLI.
-#: ``fluid-ensemble`` shares the batched epoch math but advances many
+#: ``fluid-ensemble`` runs the batched epoch kernel but advances many
 #: Monte-Carlo trials per invocation (see :mod:`repro.sim.ensemble`);
 #: a single run on it is bit-identical to ``fluid-batched``.
 ENGINES = ("fluid-batched", "fluid-exact", "fluid-ensemble")
@@ -196,6 +208,52 @@ def _apply_state_corruption(
         current_death[slot] = -1.0
         return served
     return served + 0.25 * total_endurance + 1.0
+
+
+def build_result(
+    outcome: tuple,
+    *,
+    total_endurance: float,
+    slots: int,
+    engine: str,
+    attack: str,
+    wearleveler: str,
+    sparing: str,
+    fault_model: str,
+    metrics: Optional[MetricsRegistry] = None,
+) -> SimulationResult:
+    """Wrap one kernel run's outcome tuple into its :class:`SimulationResult`.
+
+    ``outcome`` is ``(served, deaths, replacements, failure_reason,
+    timeline, extra_meta)``; the remaining arguments are the run's
+    descriptions.  Also records the run's ``sim.*`` counters (the
+    kernel's ``extra_meta`` included) and ``sim.deaths_per_run``.
+    """
+    served, deaths, replacements, failure_reason, timeline, extra_meta = outcome
+    if metrics is not None:
+        metrics.inc("sim.runs")
+        metrics.inc("sim.deaths", deaths)
+        metrics.inc("sim.replacements", replacements)
+        for name, value in extra_meta.items():
+            metrics.inc(f"sim.{name}", value)
+        metrics.observe("sim.deaths_per_run", deaths)
+    return SimulationResult(
+        writes_served=served,
+        total_endurance=total_endurance,
+        deaths=deaths,
+        replacements=replacements,
+        failure_reason=failure_reason,
+        metadata={
+            "attack": attack,
+            "wearleveler": wearleveler,
+            "sparing": sparing,
+            "fault_model": fault_model,
+            "slots": slots,
+            "engine": engine,
+            **extra_meta,
+        },
+        timeline=tuple(timeline),
+    )
 
 
 class LifetimeSimulator:
@@ -441,48 +499,58 @@ class LifetimeSimulator:
                 else None
             )
 
-        if self._engine == "fluid-exact":
-            runner = self._run_exact
-        else:
-            runner = self._run_batched
         with maybe_span(self._metrics, "sim/kernel"):
-            served, deaths, replacements, failure_reason, timeline, extra_meta = runner(
-                endurance=endurance,
-                backing=backing,
-                weights=weights,
-                eta=eta,
-                current_death=current_death,
-                min_user_slots=min_user_slots,
-                guard=guard,
-                corruptor=corruptor,
-                total_endurance=total_endurance,
-            )
+            if self._engine == "fluid-exact":
+                outcome = self._run_exact(
+                    endurance=endurance,
+                    backing=backing,
+                    weights=weights,
+                    eta=eta,
+                    current_death=current_death,
+                    min_user_slots=min_user_slots,
+                    guard=guard,
+                    corruptor=corruptor,
+                    total_endurance=total_endurance,
+                )
+            else:
+                # The epoch kernel, with this run as the one trial of a
+                # one-scheme ensemble state.
+                from repro.sim.ensemble import _advance_trial
 
-        if self._metrics is not None:
-            self._metrics.inc("sim.runs")
-            self._metrics.inc("sim.deaths", deaths)
-            self._metrics.inc("sim.replacements", replacements)
-            for name, value in extra_meta.items():
-                self._metrics.inc(f"sim.{name}", value)
-            self._metrics.observe("sim.deaths_per_run", deaths)
-
-        metadata = {
-            "attack": self._attack.describe(),
-            "wearleveler": self._wl.describe(),
-            "sparing": self._sparing.describe(),
-            "fault_model": self._fault_model.describe(),
-            "slots": slots,
-            "engine": self._engine,
-            **extra_meta,
-        }
-        return SimulationResult(
-            writes_served=served,
+                outcome = _advance_trial(
+                    FallbackSchemeState([self._sparing]),
+                    0,
+                    endurance=endurance,
+                    backing=backing,
+                    weights=weights,
+                    eta=eta,
+                    current_death=current_death,
+                    min_user_slots=min_user_slots,
+                    # fsum: the initial active weight is the one sum every
+                    # served-writes increment multiplies, so compute it
+                    # exactly (a uniform 20-slot profile must sum to 1.0).
+                    active_weight=math.fsum(weights),
+                    w_max=float(weights.max()) if weights.size else 0.0,
+                    guard=guard,
+                    corruptor=corruptor,
+                    integrity_key=(
+                        self._integrity_key() if corruptor is not None else ""
+                    ),
+                    total_endurance=total_endurance,
+                    record_timeline=self._record_timeline,
+                    max_timeline_events=self._max_timeline_events,
+                    metrics=self._metrics,
+                )
+        return build_result(
+            outcome,
             total_endurance=total_endurance,
-            deaths=deaths,
-            replacements=replacements,
-            failure_reason=failure_reason,
-            metadata=metadata,
-            timeline=tuple(timeline),
+            slots=slots,
+            engine=self._engine,
+            attack=self._attack.describe(),
+            wearleveler=self._wl.describe(),
+            sparing=self._sparing.describe(),
+            fault_model=self._fault_model.describe(),
+            metrics=self._metrics,
         )
 
     # ------------------------------------------------------------------
@@ -624,420 +692,6 @@ class LifetimeSimulator:
         if guard is not None:
             guard.final_check(view)
         extra_meta = {"heap_compactions": frontier.compactions}
-        return served, deaths, replacements, failure_reason, timeline, extra_meta
-
-    # ------------------------------------------------------------------
-    # fluid-batched: vectorized epoch kernel
-    # ------------------------------------------------------------------
-
-    def _run_batched(
-        self,
-        endurance: np.ndarray,
-        backing: np.ndarray,
-        weights: np.ndarray,
-        eta: float,
-        current_death: np.ndarray,
-        min_user_slots: int,
-        guard: Optional[EngineGuard] = None,
-        corruptor: Optional[FaultInjector] = None,
-        total_endurance: float = 0.0,
-    ) -> tuple[float, int, int, str, list[TimelineEvent], dict]:
-        served = 0.0
-        v_now = 0.0
-        deaths = 0
-        rounds = 0
-        replacements = 0
-        epochs = 0
-        live_count = backing.size
-        # fsum: see _run_exact -- the uniform-profile weight sum must be
-        # exactly 1.0 or every served increment carries the 1ulp error.
-        active_weight = math.fsum(weights)
-        w_max = float(weights.max()) if weights.size else 0.0
-        # Tightened safe-prefix bound: the largest weight among *still
-        # prone* slots.  Slots only ever leave the prone set (removal or
-        # terminal failure), so the last recomputed maximum stays a valid
-        # upper bound; ``w_max_live`` lazily counts the prone slots at
-        # that maximum and triggers a recompute only when it hits zero.
-        w_max_active = w_max
-        w_max_live = -1  # -1 = count not yet materialized
-        failure_reason = _DEGENERATE_REASON
-        timeline: list[TimelineEvent] = []
-        floor = self._sparing.replacement_extra_floor()
-        integrity_key = (
-            self._integrity_key() if corruptor is not None else ""
-        )
-        # Adaptive regime switch: consecutive one-death epochs (the
-        # concentrated-wear signature) hand selection to the incremental
-        # death-frontier index; any epoch it cannot prove identical to
-        # the vectorized selection hands back.  Guards re-inspect full
-        # state every round and corruption mutates it behind the index's
-        # back, so both pin the kernel to the vectorized regime.
-        frontier: Optional[DeathFrontier] = None
-        sequential_ok = guard is None and corruptor is None
-        size1_streak = 0
-        sequential_rounds = 0
-        regime_switches = 0
-        full_scans = 0
-
-        def view():
-            assert guard is not None
-            return guard.make_view(
-                served=served,
-                v_now=v_now,
-                deaths=deaths,
-                backing=backing,
-                current_death=current_death,
-            )
-
-        while True:
-            # A "round" is every pass through the loop (including the
-            # final empty one); ``epochs`` keeps its original meaning of
-            # passes that processed at least one death.
-            rounds += 1
-            if corruptor is not None:
-                kind = corruptor.corrupt_state(integrity_key, rounds)
-                if kind is not None:
-                    served = _apply_state_corruption(
-                        kind, served, backing, current_death, total_endurance
-                    )
-            if guard is not None:
-                guard.on_round(view)
-
-            sel = times = None
-            if frontier is not None:
-                # Sequential micro-loop: pop the epoch straight off the
-                # index -- O(epoch log workset), independent of device
-                # size -- and fall back the moment equivalence to the
-                # vectorized selection cannot be proven.
-                epoch = frontier.pop_epoch(
-                    floor, w_max_active, min(SEQUENTIAL_EPOCH_CAP, BATCH_LIMIT - 1)
-                )
-                if epoch is None:
-                    frontier = None
-                    size1_streak = 0
-                    regime_switches += 1
-                elif not epoch[0]:
-                    if deaths > 0:
-                        failure_reason = _EXHAUSTED_REASON
-                    break
-                elif len(epoch[0]) == 1:
-                    # One-death epoch: the vectorized body collapses to a
-                    # handful of scalar IEEE operations (each expression
-                    # below is the element-wise form of its array
-                    # counterpart, so results stay bit-identical), and
-                    # the scheme's scalar replace() -- pinned equivalent
-                    # to replace_batch by the differential suite -- skips
-                    # the per-batch array machinery entirely.
-                    sequential_rounds += 1
-                    epochs += 1
-                    slot = epoch[0][0]
-                    v = epoch[1][0]
-                    served = served + (v - v_now) * active_weight * eta
-                    v_now = v
-                    deaths += 1
-                    dead_line = int(backing[slot])
-                    outcome = self._sparing.replace(slot, dead_line)
-                    record_event = (
-                        self._record_timeline
-                        and len(timeline) < self._max_timeline_events
-                    )
-                    if self._metrics is not None:
-                        self._metrics.observe("sim.epoch_size", 1)
-                    if isinstance(outcome, ReplaceWith):
-                        replacements += 1
-                        backing[slot] = outcome.line
-                        new_death = v + endurance[outcome.line] / weights[slot]
-                        current_death[slot] = new_death
-                        frontier.push(slot, new_death)
-                        if record_event:
-                            timeline.append(
-                                TimelineEvent(
-                                    writes_served=served,
-                                    slot=slot,
-                                    dead_line=dead_line,
-                                    action="replaced",
-                                    replacement_line=int(outcome.line),
-                                )
-                            )
-                        continue
-                    if isinstance(outcome, ExtendBudget):
-                        replacements += 1
-                        new_death = v + outcome.wear / weights[slot]
-                        current_death[slot] = new_death
-                        frontier.push(slot, new_death)
-                        if record_event:
-                            timeline.append(
-                                TimelineEvent(
-                                    writes_served=served,
-                                    slot=slot,
-                                    dead_line=dead_line,
-                                    action="extended",
-                                    replacement_line=None,
-                                )
-                            )
-                        continue
-                    if isinstance(outcome, RemoveSlot):
-                        current_death[slot] = math.inf
-                        live_count -= 1
-                        active_weight -= float(weights[slot])
-                        if (
-                            floor is not None
-                            and not math.isinf(floor)
-                            and weights[slot] == w_max_active
-                        ):
-                            if w_max_live < 0:
-                                w_max_live = int(
-                                    np.count_nonzero(
-                                        weights[np.isfinite(current_death)]
-                                        == w_max_active
-                                    )
-                                )
-                            else:
-                                w_max_live -= 1
-                            if w_max_live == 0:
-                                survivors = weights[np.isfinite(current_death)]
-                                if survivors.size:
-                                    w_max_active = float(survivors.max())
-                                    w_max_live = int(
-                                        np.count_nonzero(
-                                            survivors == w_max_active
-                                        )
-                                    )
-                        if record_event:
-                            timeline.append(
-                                TimelineEvent(
-                                    writes_served=served,
-                                    slot=slot,
-                                    dead_line=dead_line,
-                                    action="removed",
-                                    replacement_line=None,
-                                )
-                            )
-                        if live_count < min_user_slots:
-                            failure_reason = (
-                                f"capacity degraded below user capacity "
-                                f"({live_count} < {min_user_slots} slots)"
-                            )
-                            break
-                        continue
-                    assert isinstance(outcome, FailDevice)
-                    current_death[slot] = math.inf
-                    if record_event:
-                        timeline.append(
-                            TimelineEvent(
-                                writes_served=served,
-                                slot=slot,
-                                dead_line=dead_line,
-                                action="device-failed",
-                                replacement_line=None,
-                            )
-                        )
-                    failure_reason = outcome.reason
-                    break
-                else:
-                    sel = np.asarray(epoch[0], dtype=np.intp)
-                    times = np.asarray(epoch[1], dtype=float)
-                    sequential_rounds += 1
-            if sel is None:
-                full_scans += 1
-                candidates = np.flatnonzero(np.isfinite(current_death))
-                if candidates.size == 0:
-                    if deaths > 0:
-                        failure_reason = _EXHAUSTED_REASON
-                    break
-
-                # Next BATCH_LIMIT deaths, in exact heap order (time, slot).
-                if candidates.size > BATCH_LIMIT:
-                    nearest = np.argpartition(
-                        current_death[candidates], BATCH_LIMIT - 1
-                    )[:BATCH_LIMIT]
-                    sel = candidates[nearest]
-                    times = current_death[sel]
-                    # argpartition breaks time ties arbitrarily at the cut,
-                    # so trim to a *complete* time-prefix: either everything
-                    # strictly before the selection's max time, or -- when
-                    # the whole selection ties -- the full tie class.
-                    t_max = times.max()
-                    strictly_before = times < t_max
-                    if strictly_before.any():
-                        sel = sel[strictly_before]
-                        times = times[strictly_before]
-                    else:
-                        sel = candidates[current_death[candidates] == t_max]
-                        times = current_death[sel]
-                else:
-                    sel = candidates
-                    times = current_death[sel]
-                order = np.lexsort((sel, times))
-                sel = sel[order]
-                times = times[order]
-
-                # Chronologically safe prefix: no replacement made inside
-                # the window can schedule its next death back into the
-                # window.
-                if floor is None:
-                    prefix = 1
-                elif math.isinf(floor):
-                    prefix = sel.size
-                else:
-                    bound = times[0] + floor / w_max_active
-                    prefix = max(
-                        int(np.searchsorted(times, bound, side="left")), 1
-                    )
-                sel = sel[:prefix]
-                times = times[:prefix]
-            epochs += 1
-
-            dead_lines = backing[sel]  # fancy index: a copy, safe to keep
-            outcome = self._sparing.replace_batch(sel, dead_lines)
-            count = outcome.size
-            actions = outcome.actions
-            fail_reason = outcome.fail_reason
-
-            # Capacity-degradation failure truncates like the scalar loop:
-            # the first removal dropping live slots below the floor is
-            # still counted, everything after it never happens.
-            removal_positions = np.flatnonzero(actions == BATCH_REMOVE)
-            allowed_removals = live_count - min_user_slots
-            if removal_positions.size > allowed_removals:
-                count = int(removal_positions[allowed_removals]) + 1
-                actions = actions[:count]
-                removal_positions = removal_positions[:allowed_removals + 1]
-                fail_reason = None  # capacity failure preempts a later one
-                capacity_failed = True
-            else:
-                capacity_failed = False
-            sel = sel[:count]
-            times = times[:count]
-            dead_lines = dead_lines[:count]
-            lines = outcome.lines[:count]
-            wear = outcome.wear[:count]
-            deaths += count
-            if guard is not None:
-                guard.record_batch(sel, dead_lines, actions, lines, wear)
-
-            # Served-writes integral over the epoch: per-segment active
-            # weight drops by the weight of each slot removed so far.
-            dv = np.diff(times, prepend=v_now)
-            removed_w = np.zeros(count)
-            removed_w[removal_positions] = weights[sel[removal_positions]]
-            drained = np.cumsum(removed_w)
-            seg_active = active_weight - (drained - removed_w)
-            increments = dv * seg_active * eta
-            served_at = served + np.cumsum(increments)
-            served = float(served_at[-1])
-            v_now = float(times[-1])
-            active_weight -= float(drained[-1])
-
-            # Apply the verdicts.
-            rep = np.flatnonzero(actions == BATCH_REPLACE)
-            if rep.size:
-                replacements += int(rep.size)
-                rep_slots = sel[rep]
-                rep_lines = lines[rep]
-                backing[rep_slots] = rep_lines
-                rep_deaths = times[rep] + endurance[rep_lines] / weights[rep_slots]
-                current_death[rep_slots] = rep_deaths
-                if frontier is not None:
-                    for slot, death in zip(
-                        rep_slots.tolist(), rep_deaths.tolist()
-                    ):
-                        frontier.push(slot, death)
-            ext = np.flatnonzero(actions == BATCH_EXTEND)
-            if ext.size:
-                replacements += int(ext.size)
-                ext_slots = sel[ext]
-                ext_deaths = times[ext] + wear[ext] / weights[ext_slots]
-                current_death[ext_slots] = ext_deaths
-                if frontier is not None:
-                    for slot, death in zip(
-                        ext_slots.tolist(), ext_deaths.tolist()
-                    ):
-                        frontier.push(slot, death)
-            if removal_positions.size:
-                removed_slots = sel[removal_positions]
-                current_death[removed_slots] = math.inf
-                live_count -= int(removal_positions.size)
-                if floor is not None and not math.isinf(floor):
-                    # Keep the tightened bound honest: when the last prone
-                    # slot at the current maximum weight dies, find the
-                    # next maximum among the survivors.
-                    dead_w = weights[removed_slots]
-                    if np.any(dead_w == w_max_active):
-                        if w_max_live < 0:
-                            w_max_live = int(
-                                np.count_nonzero(
-                                    weights[np.isfinite(current_death)]
-                                    == w_max_active
-                                )
-                            )
-                        else:
-                            w_max_live -= int(
-                                np.count_nonzero(dead_w == w_max_active)
-                            )
-                        if w_max_live == 0:
-                            survivors = weights[np.isfinite(current_death)]
-                            if survivors.size:
-                                w_max_active = float(survivors.max())
-                                w_max_live = int(
-                                    np.count_nonzero(survivors == w_max_active)
-                                )
-            if fail_reason is not None:
-                current_death[sel[count - 1]] = math.inf
-
-            if self._record_timeline and len(timeline) < self._max_timeline_events:
-                room = self._max_timeline_events - len(timeline)
-                for k in range(min(count, room)):
-                    action = int(actions[k])
-                    timeline.append(
-                        TimelineEvent(
-                            writes_served=float(served_at[k]),
-                            slot=int(sel[k]),
-                            dead_line=int(dead_lines[k]),
-                            action=_ACTION_NAMES[action],
-                            replacement_line=int(lines[k])
-                            if action == BATCH_REPLACE
-                            else None,
-                        )
-                    )
-
-            if self._metrics is not None:
-                self._metrics.observe("sim.epoch_size", count)
-            if capacity_failed:
-                failure_reason = (
-                    f"capacity degraded below user capacity "
-                    f"({live_count} < {min_user_slots} slots)"
-                )
-                break
-            if fail_reason is not None:
-                failure_reason = fail_reason
-                break
-            if frontier is None and sequential_ok:
-                if count == 1:
-                    size1_streak += 1
-                    if size1_streak >= SEQUENTIAL_ENTER_STREAK and BATCH_LIMIT > 1:
-                        candidate = DeathFrontier(
-                            current_death, limit=FRONTIER_LIMIT
-                        )
-                        if candidate.degenerate:
-                            # A minimum tie class wider than the work set
-                            # can only keep degenerating; stay vectorized.
-                            sequential_ok = False
-                        else:
-                            frontier = candidate
-                            size1_streak = 0
-                            regime_switches += 1
-                else:
-                    size1_streak = 0
-
-        if guard is not None:
-            guard.final_check(view)
-        extra_meta = {
-            "epochs": epochs,
-            "sequential_rounds": sequential_rounds,
-            "regime_switches": regime_switches,
-            "full_scans": full_scans,
-        }
         return served, deaths, replacements, failure_reason, timeline, extra_meta
 
 

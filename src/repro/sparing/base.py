@@ -443,13 +443,14 @@ RawBatchOutcome = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[str]]
 class BatchedSchemeState(ABC):
     """Per-trial sparing state stacked across an ensemble of trials.
 
-    The ``fluid-ensemble`` engine (``sim/ensemble.py``) advances ``T``
-    independent trials through one epoch kernel.  This protocol is the
-    scheme-side contract: every method takes a ``trial`` index and must
-    behave *bit-identically* to a fresh scheme instance initialized for
-    that trial alone -- same backing permutation, same replacement
-    decisions, same failure strings -- so ensemble results split back
-    into per-trial results indistinguishable from solo runs.
+    The batched epoch kernel (``sim/ensemble.py``) advances every trial
+    of a ``fluid-ensemble`` run, and a solo ``fluid-batched`` run as the
+    one trial of a :class:`FallbackSchemeState`, through this protocol.
+    It is the scheme-side contract: every method takes a ``trial`` index
+    and must behave *bit-identically* to a fresh scheme instance
+    initialized for that trial alone -- same backing permutation, same
+    replacement decisions, same failure strings -- so ensemble results
+    split back into per-trial results indistinguishable from solo runs.
     """
 
     @property
@@ -509,8 +510,9 @@ class FallbackSchemeState(BatchedSchemeState):
     The universal path: each trial keeps its own initialized
     :class:`SpareScheme`, so any scheme -- including third-party scalar
     ones -- runs under the ensemble engine with exactly its solo
-    semantics.  ``schemes[t]`` must already be initialized with trial
-    ``t``'s endurance map and rng stream.
+    semantics; a solo ``fluid-batched`` run wraps its scheme in a
+    one-scheme instance.  ``schemes[t]`` must already be initialized
+    with trial ``t``'s endurance map and rng stream.
     """
 
     def __init__(self, schemes: Sequence[SpareScheme]) -> None:

@@ -7,6 +7,8 @@ slow workers, expired leases) -- converges bit-identical to a
 fault-free serial run of the same tasks.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,20 @@ class TestIdempotentCommits:
         assert lifetimes(warm) == lifetimes(serial)
         assert warm_cache.stats.hits == len(tasks)
         assert warm_cache.stats.misses == 0
+
+
+class TestCoordinatorClose:
+    def test_close_wakes_a_blocked_accept(self):
+        """Every execute ends in close(); it must not wait out the accept
+        thread's poll, or each execute rounds up to the next poll tick."""
+        coordinator = Coordinator(
+            [], lease_ttl=30.0, metrics=MetricsRegistry(), events=EventLog()
+        )
+        # From its next call on, the accept thread blocks with no timeout.
+        coordinator._listener.settimeout(None)
+        time.sleep(0.5)
+        coordinator.close()
+        assert not coordinator._accept_thread.is_alive()
 
 
 class TestLeaseExpiry:

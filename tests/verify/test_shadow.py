@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import repro.sim.ensemble as ensemble_module
 from repro.attacks.uaa import UniformAddressAttack
 from repro.core.maxwe import MaxWE
 from repro.endurance.emap import EnduranceMap
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.lifetime import LifetimeSimulator, simulate_lifetime
+from repro.sim.lifetime import simulate_lifetime
 from repro.sim.result import SimulationResult
 from repro.verify.shadow import (
     SHADOW_WRITES_RTOL,
@@ -143,17 +144,17 @@ class TestSampledAuditsThroughTheEngine:
             )
 
     def test_broken_kernel_is_caught_by_the_audit(self, monkeypatch):
-        """Regression harness for the audit itself: a batched kernel that
-        over-serves by 1% must be flagged as a divergence."""
-        original = LifetimeSimulator._run_batched
+        """Regression harness for the audit itself: a batched epoch kernel
+        that over-serves by 1% must be flagged as a divergence."""
+        original = ensemble_module._advance_trial
 
-        def broken(self, *args, **kwargs):
+        def broken(*args, **kwargs):
             served, deaths, replacements, reason, timeline, meta = original(
-                self, *args, **kwargs
+                *args, **kwargs
             )
             return served * 1.01, deaths, replacements, reason, timeline, meta
 
-        monkeypatch.setattr(LifetimeSimulator, "_run_batched", broken)
+        monkeypatch.setattr(ensemble_module, "_advance_trial", broken)
         with pytest.raises(ShadowDivergence, match="writes_served"):
             simulate_lifetime(
                 small_map(),
