@@ -31,6 +31,7 @@ from repro.core.maxwe import MaxWE
 from repro.core.overhead import mapping_overhead_report, paper_overhead_geometry
 from repro.obs.metrics import MetricsRegistry, maybe_span
 from repro.obs.sink import build_manifest, profile_report, write_metrics
+from repro.device.errors import ConfigurationError
 from repro.sim.config import ExperimentConfig
 from repro.sim.experiments import (
     bpa_scheme_comparison,
@@ -1068,6 +1069,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "regions"):
+        try:
+            _config_from(args)
+        except ConfigurationError as error:
+            parser.error(str(error))
     previous_fault_spec = os.environ.get(FAULT_SPEC_ENV)
     try:
         return args.handler(args)

@@ -602,7 +602,7 @@ def _stable_rank_prefix(values: np.ndarray, need: int) -> np.ndarray:
 
 
 class MaxWEStackedState(BatchedSchemeState):
-    """Trial-stacked Max-WE state for the ``fluid-ensemble`` engine.
+    """Trial-stacked Max-WE state for the batched epoch kernel.
 
     Every trial's slot states, SRA lookup, and allocation-ordered pool
     live as rows of ``(trials, ...)`` tensors, built by one pass per
@@ -618,16 +618,20 @@ class MaxWEStackedState(BatchedSchemeState):
       paired-slice identities ``swr_paired == ranking[:k]`` /
       ``rwr_paired == ranking[k:2k][::-1]`` hold because a stable argsort
       of an already-ascending slice is the identity permutation;
-    * :meth:`replace_batch` is a line-for-line port of
-      :meth:`MaxWE.replace_batch` minus the RMT/LMT ledgers, which no
+    * :meth:`replace_batch` and :meth:`replace` are line-for-line ports
+      of :meth:`MaxWE.replace_batch` and :meth:`MaxWE.replace` minus the
+      RMT/LMT ledgers, which no
       replacement decision reads (the SWR failover consults only the SRA
       lookup and slot-state codes, and the LMT capacity equals the pool
       size so its overflow check cannot fire before pool exhaustion
       truncates the batch; see :mod:`repro.core.mapping`).
 
-    The ensemble engine only selects this state when paranoia guards are
-    off: the RMT/LMT tables that :meth:`MaxWE.check_integrity` audits are
-    deliberately not maintained here.
+    Every ``fluid-batched`` and ``fluid-ensemble`` run of the paper
+    configuration starts from this state when paranoia guards are off:
+    the RMT/LMT tables that :meth:`MaxWE.check_integrity` audits are
+    deliberately not maintained here, so guarded and ``fluid-exact``
+    runs keep real :class:`MaxWE` instances, the reference this state
+    is tested against.
     """
 
     def __init__(
@@ -826,6 +830,36 @@ class MaxWEStackedState(BatchedSchemeState):
             state_row[slots[count - 1]] = _RETIRED
 
         return actions, lines, _NO_WEAR, fail_reason
+
+    def replace(self, trial: int, slot: int, dead_line: int) -> Replacement:
+        # Line-for-line port of MaxWE.replace minus the RMT/LMT ledgers.
+        state_row = self._state[trial]
+        state = int(state_row[slot])
+        if state == _ORIGINAL:
+            region, offset = divmod(dead_line, self._per)
+            spare_region = int(self._sra_lookup[trial, region])
+            if spare_region >= 0:
+                state_row[slot] = _SWR_REPLACED
+                self._rwr_originals_left[trial] -= 1
+                return ReplaceWith(line=spare_region * self._per + offset)
+            return self._rescue_from_pool(trial, slot)
+        if state == _LMT_REPLACED or self._rwr_fallback:
+            return self._rescue_from_pool(trial, slot)
+        return FailDevice(
+            reason=(
+                f"SWR replacement line {dead_line} worn out; region-mapped slots "
+                "have no further rescue"
+            )
+        )
+
+    def _rescue_from_pool(self, trial: int, slot: int) -> Replacement:
+        pos = int(self._pool_pos[trial])
+        if pos >= self._pool_lines.shape[1]:
+            self._state[trial, slot] = _RETIRED
+            return FailDevice(reason=_POOL_EXHAUSTED)
+        self._pool_pos[trial] = pos + 1
+        self._state[trial, slot] = _LMT_REPLACED
+        return ReplaceWith(line=int(self._pool_lines[trial, pos]))
 
     def replacement_extra_floor(self, trial: int) -> float:
         floor = math.inf

@@ -56,6 +56,10 @@ DEFAULT_STATE_DIR = ".repro-service"
 #: different deadlines must still coalesce.
 _OPTION_FIELDS = ("engine", "trials_per_task")
 
+#: Most specs one submission may carry (with the device-size limit in
+#: :data:`repro.sim.config.MAX_TOTAL_LINES`, this bounds a request's work).
+MAX_SPECS_PER_REQUEST: int = 1024
+
 #: ``Retry-After`` hint handed to clients rejected during a drain: the
 #: process is exiting; by then a replacement is expected to be listening.
 DRAIN_RETRY_AFTER_SECONDS: float = 5.0
@@ -190,6 +194,11 @@ class SimService:
         raw_specs = payload.get("specs")
         if not isinstance(raw_specs, list) or not raw_specs:
             raise ValidationError("'specs' must be a non-empty list")
+        if len(raw_specs) > MAX_SPECS_PER_REQUEST:
+            raise ValidationError(
+                f"'specs' holds {len(raw_specs)} runs; at most "
+                f"{MAX_SPECS_PER_REQUEST} per request"
+            )
         try:
             specs = [RunSpec.from_dict(spec).to_dict() for spec in raw_specs]
         except (TypeError, ValueError) as error:

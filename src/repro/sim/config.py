@@ -42,6 +42,13 @@ DEFAULT_Q: float = 50.0
 #: every normalized result.
 DEFAULT_E_LOW: float = 1.0e4
 
+#: Largest device accepted, in lines: the paper's 1 GB bank at 64 B lines
+#: (2048 regions x 8192 lines).  Every boundary that takes a device from
+#: outside the program -- CLI flags, HTTP submissions, spec and bundle
+#: files -- builds an :class:`ExperimentConfig`, so this one check bounds
+#: the memory a request can ask for.
+MAX_TOTAL_LINES: int = 2048 * 8192
+
 #: Supported endurance model families.
 ENDURANCE_MODELS = ("linear", "zhang-li", "lognormal")
 
@@ -106,6 +113,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.regions <= 0 or self.lines_per_region <= 0:
             raise ConfigurationError("regions and lines_per_region must be positive")
+        if self.total_lines > MAX_TOTAL_LINES:
+            raise ConfigurationError(
+                f"device of {self.total_lines} lines exceeds the limit of "
+                f"{MAX_TOTAL_LINES} (regions x lines_per_region)"
+            )
         if self.endurance_model not in ENDURANCE_MODELS:
             raise ConfigurationError(
                 f"endurance_model must be one of {ENDURANCE_MODELS}, "

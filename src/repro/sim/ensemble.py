@@ -19,33 +19,37 @@ one engine invocation:
   across trials (identical inputs give identical floats, so sharing is
   bit-safe).
 
-The module also owns the one batched epoch kernel, :func:`_advance_trial`.
-A solo ``fluid-batched`` run is its one-trial case: the run wraps its
-initialized scheme in a one-scheme
-:class:`~repro.sparing.base.FallbackSchemeState` and advances it as
-trial 0, so an ensemble trial and a solo run of the same seed execute
-the same loop on the same values.  Results therefore split back into
-per-trial :class:`~repro.sim.result.SimulationResult` objects
-bit-identical to solo ``fluid-batched`` runs -- timeline and regime
-counters included, only ``metadata["engine"]`` differs -- independent
-of how members are grouped, which the differential tests pin.  The
-kernel picks its epoch-selection strategy from what it observes of the
-trial (see :func:`_advance_trial` and ``docs/fluid_engine.md``,
-"Kernel regimes").
+The module also owns the one place a fluid run is initialized,
+:func:`simulate_ensemble`, and the one batched epoch kernel,
+:func:`_advance_trial`.  A solo run is a one-member ensemble:
+:class:`~repro.sim.lifetime.LifetimeSimulator` hands every engine's run
+here as a one-member call that names its engine, so a solo
+``fluid-batched`` run and an ensemble trial of the same seed start from
+the same scheme state and execute the same loop on the same values.
+Results therefore split back into per-trial
+:class:`~repro.sim.result.SimulationResult` objects bit-identical to
+solo ``fluid-batched`` runs -- timeline and regime counters included,
+only ``metadata["engine"]`` differs -- independent of how members are
+grouped, which the differential tests pin.  The kernel picks its
+epoch-selection strategy from what it observes of the trial (see
+:func:`_advance_trial` and ``docs/fluid_engine.md``, "Kernel regimes").
+``fluid-exact`` runs take the same per-trial arrays into the scalar
+event loop, always on real initialized schemes.
 
 Trials that die early simply stop: advancement is per-trial over the
 stacked state, so a trial failing in epoch 0 contributes no further
 work.  Paranoia guards are supported through the fallback scheme state
 (one :class:`~repro.verify.invariants.EngineGuard` per trial, views
-tagged with the trial index); ``shadow_sample > 0`` delegates each
-member to the solo engine so the audit machinery applies unchanged.
+tagged with the trial index).  The sampled shadow audit is one step per
+member: after a batched member finishes, it may be re-executed on
+``fluid-exact`` and compared.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +74,7 @@ from repro.sparing.base import (
 )
 from repro.util.rng import RandomState, derive_rng
 from repro.verify.invariants import EngineGuard, InvariantViolation, normalize_paranoia
+from repro.verify.shadow import compare_runs, should_audit
 from repro.verify.snapshot import write_violation_bundle
 from repro.wearlevel.base import WearLeveler
 from repro.wearlevel.none import NoWearLeveling
@@ -175,38 +180,189 @@ def _fast_epoch(
     return pos[order], times[order]
 
 
-def _delegate_with_shadow(
-    member: EnsembleMember,
-    *,
-    record_timeline: bool,
-    metrics: Optional[MetricsRegistry],
-    paranoia: str,
-    shadow_sample: float,
-) -> SimulationResult:
-    """Run one member on the solo engine so shadow audits apply unchanged."""
-    from repro.sim.lifetime import simulate_lifetime
+def initialize_schemes(
+    members: Sequence[EnsembleMember], *, stacked: bool
+) -> BatchedSchemeState:
+    """The one place a run's sparing scheme is initialized.
 
-    result = simulate_lifetime(
-        member.emap,
-        member.attack,
-        member.sparing,
-        member.wearleveler,
-        member.fault_model,
-        member.rng,
-        engine="fluid-batched",
-        record_timeline=record_timeline,
-        metrics=metrics,
-        paranoia=paranoia,
-        shadow_sample=shadow_sample,
+    Every member forks its ``"sparing"`` stream first -- a Generator
+    seed's later forks depend on it, so the fork happens even when the
+    stacked state never draws from it.  With ``stacked`` the scheme
+    family may build a :class:`BatchedSchemeState` over all members;
+    otherwise, or when it declines, each member's real scheme is
+    initialized and wrapped in a :class:`FallbackSchemeState`.
+    """
+    rngs = [derive_rng(member.rng, "sparing") for member in members]
+    schemes = [member.sparing for member in members]
+    state: Optional[BatchedSchemeState] = None
+    if stacked:
+        state = type(schemes[0]).make_batched_state(
+            schemes, [member.emap for member in members]
+        )
+    if state is None:
+        for member, rng in zip(members, rngs):
+            member.sparing.initialize(member.emap, rng)
+        state = FallbackSchemeState(schemes)
+    return state
+
+
+class _Trial(NamedTuple):
+    """One member's kernel inputs and result descriptions."""
+
+    endurance: np.ndarray
+    total_endurance: float
+    backing: np.ndarray
+    min_user_slots: int
+    weights: np.ndarray
+    eta: float
+    current_death: np.ndarray
+    active_weight: float
+    w_max: float
+    w_scalar: Optional[float]
+    describe: dict
+
+
+def _init_trial(
+    state: BatchedSchemeState,
+    index: int,
+    member: EnsembleMember,
+    weight_cache: List[Tuple[np.ndarray, float, float]],
+    uniform_cache: dict,
+) -> _Trial:
+    """Build member ``index``'s arrays from its scheme state and components.
+
+    Distinct weight vectors are rare (one per attack/wear-level config),
+    so ``fsum`` and ``w_max`` are shared through ``weight_cache`` across
+    members with equal weights.  NoWearLeveling's uniform-profile
+    distribution is a pure function of the slot count (np.full(slots,
+    1/slots), eta 1, no rng use), so ``uniform_cache`` (keyed by slot
+    count) lets the first such member's build serve every later member
+    with the same count -- skipping attach(), wear_weights() and the
+    weight-cache comparison entirely.
+    """
+    fault_model = member.fault_model if member.fault_model is not None else FaultModel()
+    endurance = fault_model.effective_endurance(member.emap.line_endurance)
+    total_endurance = float(endurance.sum())
+
+    backing = state.backing(index)
+    slots = backing.size
+    min_user_slots = min(state.min_user_slots(index), slots)
+
+    budgets = endurance[backing]
+    if budgets.dtype != np.float64:
+        budgets = budgets.astype(float)
+    profile = member.attack.profile(slots)
+
+    # Generator rngs are excluded from the cached path: a hit would skip
+    # attach()'s derive_rng, which for a Generator consumes parent state
+    # that later members observe.  Integer seeds derive purely, so
+    # skipping the draw changes nothing.
+    cache_eligible = (
+        member.wearleveler is None
+        and profile.kind == PROFILE_UNIFORM
+        and not isinstance(member.rng, np.random.Generator)
     )
-    return dataclasses.replace(
-        result, metadata={**result.metadata, "engine": ENGINE_NAME}
+    w_scalar: Optional[float] = None
+    cached_uniform = uniform_cache.get(slots) if cache_eligible else None
+    if cached_uniform is not None:
+        # attach() is skipped, so its endurance validation is kept.
+        if not budgets.min() > 0:
+            raise ValueError("slot endurances must be strictly positive")
+        weights, eta, active_weight, w_max, wl_desc = cached_uniform
+        all_prone = True  # constant 1/slots weights
+        w_scalar = float(weights[0])
+    else:
+        wl = member.wearleveler if member.wearleveler is not None else NoWearLeveling()
+        wl.attach(budgets, derive_rng(member.rng, "wearlevel"))
+        distribution = wl.wear_weights(profile)
+        weights = np.asarray(distribution.weights, dtype=float)
+        if weights.size != slots:
+            raise ValueError(
+                f"wear-leveler produced {weights.size} weights for {slots} slots"
+            )
+        eta = distribution.useful_fraction
+
+        # With every slot wear-prone the masked assignment collapses to
+        # one full divide -- both branches produce the same values
+        # exactly.  (``min() > 0`` is the allocation-free spelling of
+        # ``(weights > 0).all()``; weights are finite by contract.)
+        all_prone = slots > 0 and bool(weights.min() > 0.0)
+
+        active_weight = None
+        w_max = 0.0
+        for cached, cached_sum, cached_max in weight_cache:
+            if cached.shape == weights.shape and np.array_equal(cached, weights):
+                active_weight, w_max = cached_sum, cached_max
+                break
+        if active_weight is None:
+            # fsum: the initial active weight is the one sum every
+            # served-writes increment multiplies, so compute it exactly
+            # (a uniform 20-slot profile must sum to 1.0).
+            active_weight = math.fsum(weights)
+            w_max = float(weights.max()) if weights.size else 0.0
+            if len(weight_cache) < 8:
+                weight_cache.append((weights, active_weight, w_max))
+        wl_desc = wl.describe()
+        if cache_eligible and all_prone:
+            uniform_cache[slots] = (weights, eta, active_weight, w_max, wl_desc)
+
+    if all_prone:
+        # Dividing by the scalar (when the weights are constant) yields
+        # the same elementwise quotients bit for bit; on the cached path
+        # nothing else holds ``budgets`` (attach was skipped), so the
+        # divide reuses its buffer.
+        if w_scalar is not None:
+            current_death = np.divide(budgets, w_scalar, out=budgets)
+        else:
+            current_death = budgets / weights
+    else:
+        prone = weights > 0.0
+        current_death = np.full(slots, math.inf)
+        current_death[prone] = budgets[prone] / weights[prone]
+
+    return _Trial(
+        endurance=endurance,
+        total_endurance=total_endurance,
+        backing=backing,
+        min_user_slots=min_user_slots,
+        weights=weights,
+        eta=eta,
+        current_death=current_death,
+        active_weight=active_weight,
+        w_max=w_max,
+        w_scalar=w_scalar,
+        describe={
+            "attack": member.attack.describe(),
+            "sparing": state.describe(index),
+            "wearleveler": wl_desc,
+            "fault_model": fault_model.describe(),
+        },
     )
+
+
+def _shadow_audit(
+    member: EnsembleMember,
+    primary: SimulationResult,
+    repro: dict,
+    metrics: Optional[MetricsRegistry],
+) -> None:
+    """Re-run ``member`` on the exact reference engine and compare results."""
+    with maybe_span(metrics, "verify/shadow"):
+        if metrics is not None:
+            metrics.inc("verify.shadow_audits")
+        [reference] = simulate_ensemble([member], engine="fluid-exact")
+        try:
+            compare_runs(primary, reference, rounds=primary.deaths, repro=repro)
+        except InvariantViolation:
+            if metrics is not None:
+                metrics.inc("verify.violations")
+            raise
 
 
 def simulate_ensemble(
     members: Sequence[EnsembleMember],
     *,
+    engine: str = ENGINE_NAME,
     record_timeline: bool = False,
     max_timeline_events: int = 100_000,
     metrics: Optional[MetricsRegistry] = None,
@@ -215,12 +371,31 @@ def simulate_ensemble(
 ) -> List[SimulationResult]:
     """Advance every member to device failure; one result per member.
 
-    Results are index-aligned with ``members`` and bit-identical to solo
-    ``fluid-batched`` runs of the same members (``metadata["engine"]``
-    aside), independent of how members are grouped into ensembles.
+    The one place a fluid run is initialized: a solo
+    :class:`~repro.sim.lifetime.LifetimeSimulator` run is a one-member
+    call, ``engine`` names the engine its results report.  Batched
+    engines run the epoch kernel on the stacked scheme state when one
+    applies; ``fluid-exact`` runs the scalar event loop on real
+    initialized schemes.  Results are index-aligned with ``members``
+    and bit-identical to one-member calls of the same members
+    (``metadata["engine"]`` aside), independent of how members are
+    grouped.
+
+    Each member of a batched engine is re-executed on ``fluid-exact``
+    with probability ``shadow_sample`` (deterministic in its integrity
+    key) and escalates a divergence as a
+    :class:`~repro.verify.shadow.ShadowDivergence`.
     """
+    from repro.sim.lifetime import (
+        _run_exact,
+        accounting_tolerance,
+        build_result,
+        normalize_engine,
+    )
+
     if not members:
         raise ValueError("an ensemble needs at least one member")
+    engine = normalize_engine(engine)
     paranoia = normalize_paranoia(paranoia)
     shadow_sample = float(shadow_sample)
     if not 0.0 <= shadow_sample <= 1.0:
@@ -233,31 +408,12 @@ def simulate_ensemble(
                     "re-executes each member from scratch, which a stateful "
                     "Generator (or None) cannot reproduce deterministically"
                 )
-        return [
-            _delegate_with_shadow(
-                member,
-                record_timeline=record_timeline,
-                metrics=metrics,
-                paranoia=paranoia,
-                shadow_sample=shadow_sample,
-            )
-            for member in members
-        ]
+    exact = engine == "fluid-exact"
 
-    schemes = [member.sparing for member in members]
-    emaps = [member.emap for member in members]
     with maybe_span(metrics, "sim/init"):
         # Stacked scheme state skips the RMT/LMT ledgers the guards
-        # audit, so it is only eligible with paranoia off.
-        state: Optional[BatchedSchemeState] = None
-        if paranoia == "off":
-            state = type(schemes[0]).make_batched_state(schemes, emaps)
-        if state is None:
-            for member in members:
-                member.sparing.initialize(
-                    member.emap, derive_rng(member.rng, "sparing")
-                )
-            state = FallbackSchemeState(schemes)
+        # audit, and the exact engine is the oracle it is tested against.
+        state = initialize_schemes(members, stacked=paranoia == "off" and not exact)
 
     injector = active_injector()
     corruptor: Optional[FaultInjector] = (
@@ -265,190 +421,98 @@ def simulate_ensemble(
         if injector is not None and injector.spec.corrupt_state > 0.0
         else None
     )
-    task_key = active_task_key() if corruptor is not None else ""
-
-    # Distinct weight vectors are rare (one per attack/wear-level config),
-    # so fsum and w_max are shared across trials with equal weights; a
-    # short cache keeps the comparison cost linear for mixed ensembles.
+    task_key = active_task_key()
     weight_cache: List[Tuple[np.ndarray, float, float]] = []
-    # NoWearLeveling's uniform-profile distribution is a pure function of
-    # the slot count (np.full(slots, 1/slots), eta 1, no rng use), so the
-    # first such member's build serves every later member with the same
-    # count -- skipping attach(), wear_weights() and the element-wise
-    # weight-cache comparison entirely.  Keyed by slot count.
     uniform_cache: dict = {}
-    from repro.sim.lifetime import accounting_tolerance, build_result
 
     results: List[SimulationResult] = []
     for index, member in enumerate(members):
-        with maybe_span(metrics, "sim/init"):
-            fault_model = (
-                member.fault_model if member.fault_model is not None else FaultModel()
-            )
-            endurance = fault_model.effective_endurance(member.emap.line_endurance)
-            total_endurance = float(endurance.sum())
-
-            backing = state.backing(index)
-            slots = backing.size
-            min_user_slots = min(state.min_user_slots(index), slots)
-
-            budgets = endurance[backing]
-            if budgets.dtype != np.float64:
-                budgets = budgets.astype(float)
-            profile = member.attack.profile(slots)
-
-            # Generator rngs are excluded from the cached path: a hit
-            # would skip attach()'s derive_rng, which for a Generator
-            # consumes parent state that later members observe.  Integer
-            # seeds derive purely, so skipping the draw changes nothing.
-            cache_eligible = (
-                member.wearleveler is None
-                and profile.kind == PROFILE_UNIFORM
-                and not isinstance(member.rng, np.random.Generator)
-            )
-            w_scalar: Optional[float] = None
-            cached_uniform = uniform_cache.get(slots) if cache_eligible else None
-            if cached_uniform is not None:
-                # attach() is skipped, so its endurance validation is kept.
-                if not budgets.min() > 0:
-                    raise ValueError("slot endurances must be strictly positive")
-                weights, eta, active_weight, w_max, wl_desc = cached_uniform
-                all_prone = True  # constant 1/slots weights
-                w_scalar = float(weights[0])
-            else:
-                wl = (
-                    member.wearleveler
-                    if member.wearleveler is not None
-                    else NoWearLeveling()
-                )
-                wl.attach(budgets, derive_rng(member.rng, "wearlevel"))
-                distribution = wl.wear_weights(profile)
-                weights = np.asarray(distribution.weights, dtype=float)
-                if weights.size != slots:
-                    raise ValueError(
-                        f"wear-leveler produced {weights.size} weights "
-                        f"for {slots} slots"
+        try:
+            with maybe_span(metrics, "sim/init"):
+                trial = _init_trial(state, index, member, weight_cache, uniform_cache)
+                # Corruption rolls and shadow sampling are keyed by the
+                # supervising runner's task key (per trial in an
+                # ensemble); standalone runs use the run's own identity.
+                describe = trial.describe
+                if task_key:
+                    integrity_key = (
+                        f"{task_key}#trial={index}" if engine == ENGINE_NAME else task_key
                     )
-                eta = distribution.useful_fraction
-
-                # With every slot wear-prone the masked assignment
-                # collapses to one full divide -- both branches produce
-                # the solo values exactly.  (``min() > 0`` is the
-                # allocation-free spelling of ``(weights > 0).all()``;
-                # weights are finite by contract.)
-                all_prone = slots > 0 and bool(weights.min() > 0.0)
-
-                active_weight = None
-                w_max = 0.0
-                for cached, cached_sum, cached_max in weight_cache:
-                    if cached.shape == weights.shape and np.array_equal(
-                        cached, weights
-                    ):
-                        active_weight, w_max = cached_sum, cached_max
-                        break
-                if active_weight is None:
-                    active_weight = math.fsum(weights)
-                    w_max = float(weights.max()) if weights.size else 0.0
-                    if len(weight_cache) < 8:
-                        weight_cache.append((weights, active_weight, w_max))
-                wl_desc = wl.describe()
-                if cache_eligible and all_prone:
-                    uniform_cache[slots] = (
-                        weights, eta, active_weight, w_max, wl_desc
-                    )
-
-            if all_prone:
-                # Dividing by the scalar (when the weights are constant)
-                # yields the same elementwise quotients bit for bit; on
-                # the cached path nothing else holds ``budgets`` (attach
-                # was skipped), so the divide reuses its buffer.
-                if w_scalar is not None:
-                    current_death = np.divide(budgets, w_scalar, out=budgets)
                 else:
-                    current_death = budgets / weights
-            else:
-                prone = weights > 0.0
-                current_death = np.full(slots, math.inf)
-                current_death[prone] = budgets[prone] / weights[prone]
+                    integrity_key = "|".join(
+                        (
+                            describe["attack"],
+                            describe["sparing"],
+                            describe["wearleveler"],
+                            repr(member.rng),
+                            engine,
+                        )
+                    )
+                repro = {
+                    "seed": repr(member.rng),
+                    "engine": engine,
+                    "attack": describe["attack"],
+                    "sparing": describe["sparing"],
+                    "wearleveler": describe["wearleveler"],
+                    "paranoia": paranoia,
+                    "shadow_sample": shadow_sample,
+                }
+                if engine == ENGINE_NAME:
+                    repro["trial"] = index
+                guard: Optional[EngineGuard] = None
+                if paranoia != "off":
+                    guard = EngineGuard(
+                        paranoia,
+                        sparing=state.scheme(index),
+                        endurance=trial.endurance,
+                        weights=trial.weights,
+                        eta=trial.eta,
+                        total_endurance=trial.total_endurance,
+                        tolerance=accounting_tolerance,
+                        metrics=metrics,
+                        repro=repro,
+                    )
+                    guard.start(trial.backing)
 
-            attack_desc = member.attack.describe()
-            sparing_desc = state.describe(index)
-            fault_desc = fault_model.describe()
-
-            guard: Optional[EngineGuard] = None
-            if paranoia != "off":
-                scheme = state.scheme(index)
-                assert scheme is not None  # guards force the fallback state
-                guard = EngineGuard(
-                    paranoia,
-                    sparing=scheme,
-                    endurance=endurance,
-                    weights=weights,
-                    eta=eta,
-                    total_endurance=total_endurance,
-                    tolerance=accounting_tolerance,
-                    metrics=metrics,
-                    repro={
-                        "seed": repr(member.rng),
-                        "engine": ENGINE_NAME,
-                        "attack": attack_desc,
-                        "sparing": sparing_desc,
-                        "wearleveler": wl_desc,
-                        "paranoia": paranoia,
-                        "shadow_sample": shadow_sample,
-                        "trial": index,
-                    },
-                )
-                guard.start(backing)
-
-            integrity_key = ""
-            if corruptor is not None:
-                identity = "|".join(
-                    (attack_desc, sparing_desc, wl_desc, repr(member.rng), ENGINE_NAME)
-                )
-                integrity_key = (
-                    f"{task_key}#trial={index}" if task_key else identity
-                )
-
-        with maybe_span(metrics, "sim/kernel"):
-            try:
-                outcome = _advance_trial(
+            with maybe_span(metrics, "sim/kernel"):
+                outcome = (_run_exact if exact else _advance_trial)(
                     state,
                     index,
-                    endurance=endurance,
-                    backing=backing,
-                    weights=weights,
-                    eta=eta,
-                    current_death=current_death,
-                    min_user_slots=min_user_slots,
-                    active_weight=active_weight,
-                    w_max=w_max,
+                    endurance=trial.endurance,
+                    backing=trial.backing,
+                    weights=trial.weights,
+                    eta=trial.eta,
+                    current_death=trial.current_death,
+                    min_user_slots=trial.min_user_slots,
+                    active_weight=trial.active_weight,
+                    w_max=trial.w_max,
                     guard=guard,
                     corruptor=corruptor,
-                    integrity_key=integrity_key,
-                    total_endurance=total_endurance,
+                    integrity_key=integrity_key if corruptor is not None else "",
+                    total_endurance=trial.total_endurance,
                     record_timeline=record_timeline,
                     max_timeline_events=max_timeline_events,
-                    w_scalar=w_scalar,
+                    w_scalar=trial.w_scalar,
                     metrics=metrics,
                 )
-            except InvariantViolation as violation:
-                write_violation_bundle(violation)
-                raise
-
-        results.append(
-            build_result(
+            result = build_result(
                 outcome,
-                total_endurance=total_endurance,
-                slots=slots,
-                engine=ENGINE_NAME,
-                attack=attack_desc,
-                wearleveler=wl_desc,
-                sparing=sparing_desc,
-                fault_model=fault_desc,
+                total_endurance=trial.total_endurance,
+                slots=trial.backing.size,
+                engine=engine,
                 metrics=metrics,
+                **describe,
             )
-        )
+            if (
+                shadow_sample > 0.0
+                and not exact
+                and should_audit(shadow_sample, integrity_key)
+            ):
+                _shadow_audit(member, result, repro, metrics)
+        except InvariantViolation as violation:
+            write_violation_bundle(violation)
+            raise
+        results.append(result)
     if metrics is not None:
         metrics.inc("sim.ensembles")
     return results
@@ -477,9 +541,8 @@ def _advance_trial(
 ) -> Tuple[float, int, int, str, List[TimelineEvent], dict]:
     """Advance one trial to device failure: the batched epoch kernel.
 
-    Every ``fluid-batched`` run (as trial 0 of a one-scheme
-    :class:`~repro.sparing.base.FallbackSchemeState`) and every
-    ``fluid-ensemble`` trial runs this loop.  Each pass selects the next
+    Every ``fluid-batched`` run (as the one trial of a one-member
+    ensemble) and every ``fluid-ensemble`` trial runs this loop.  Each pass selects the next
     chronologically safe epoch of deaths, decides it in one
     ``replace_batch`` call and integrates the served writes of the epoch
     with a cumulative sum.  The floor is fetched once before the loop;
@@ -500,8 +563,8 @@ def _advance_trial(
       :data:`~repro.sim.lifetime.SEQUENTIAL_ENTER_STREAK` consecutive
       one-death epochs, handing back to the vectorized selection the
       moment an epoch cannot be proven identical to it.  A one-death
-      frontier epoch of a trial backed by a real scheme instance skips
-      the array machinery for the scheme's scalar ``replace()``.
+      frontier epoch skips the array machinery for the state's scalar
+      ``replace()``.
     """
     from repro.sim.frontier import DeathFrontier
     from repro.sim.lifetime import (
@@ -525,7 +588,6 @@ def _advance_trial(
     failure_reason = _DEGENERATE_REASON
     timeline: List[TimelineEvent] = []
     floor = state.replacement_extra_floor(trial)
-    scheme = state.scheme(trial)
     # Tightened safe-prefix bound: the largest weight among *still prone*
     # slots.  Slots only ever leave the prone set (removal or terminal
     # failure), so the last recomputed maximum stays a valid upper bound;
@@ -631,11 +693,11 @@ def _advance_trial(
                 if deaths > 0:
                     failure_reason = _EXHAUSTED_REASON
                 break
-            elif scheme is not None and len(picked[0]) == 1:
+            elif len(picked[0]) == 1:
                 # One-death epoch: the vectorized body below collapses to
                 # a handful of scalar IEEE operations (each the
                 # element-wise form of its array counterpart, so results
-                # stay bit-identical), and the scheme's scalar replace()
+                # stay bit-identical), and the state's scalar replace()
                 # -- pinned equivalent to replace_batch by the
                 # differential suite -- skips the per-batch array
                 # machinery entirely.
@@ -648,7 +710,7 @@ def _advance_trial(
                 v_now = v
                 deaths += 1
                 dead_line = int(backing_row[key])
-                outcome = scheme.replace(slot, dead_line)
+                outcome = state.replace(trial, slot, dead_line)
                 if metrics is not None:
                     metrics.observe("sim.epoch_size", 1)
                 line = None

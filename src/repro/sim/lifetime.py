@@ -16,21 +16,24 @@ writes is the integral above.  The exact per-write
 :class:`~repro.sim.reference.ReferenceSimulator` validates the
 approximation end to end in the test suite.
 
-Two engines implement this model:
+Every run, whatever its engine, is a one-member
+:func:`~repro.sim.ensemble.simulate_ensemble` call: that function is
+the one place a run's scheme state and per-trial arrays are built.  Two
+engines then advance the trial:
 
-* ``fluid-exact`` -- the scalar event loop: a heap of death times,
-  one :meth:`~repro.sparing.base.SpareScheme.replace` call per death.
-  It is the reference the shadow audit re-executes runs against.
+* ``fluid-exact`` -- the scalar event loop (:func:`_run_exact`): a heap
+  of death times, one scalar ``replace`` call per death, always on a
+  real initialized scheme.  It is the reference the shadow audit
+  re-executes runs against.
 * ``fluid-batched`` (default) -- the vectorized epoch kernel,
   :func:`repro.sim.ensemble._advance_trial`: death times live in one
   numpy array; each epoch selects the next batch of deaths, trims it
   to a *chronologically safe prefix*, decides the whole prefix in one
   :meth:`~repro.sparing.base.SpareScheme.replace_batch` call, and
   integrates the served writes of the epoch with a cumulative sum.  A
-  solo run is the one-trial case of the ``fluid-ensemble`` engine: it
-  wraps its initialized scheme in a one-scheme
-  :class:`~repro.sparing.base.FallbackSchemeState` and runs the same
-  loop as trial 0.
+  solo run is the one-trial case of the ``fluid-ensemble`` engine: the
+  same scheme state (stacked when the scheme has one) and the same
+  loop, as trial 0.
 
 The safe prefix is what keeps batching exact rather than approximate.
 From a batch sorted by ``(death time, slot)`` -- the same order the heap
@@ -60,9 +63,9 @@ same epochs (``docs/fluid_engine.md``, "Kernel regimes"):
   lazy-deletion heap over the death times in exact ``(time, slot)``
   order, bounded to the ``FRONTIER_LIMIT`` soonest deaths -- pops
   provably-identical epochs in O(log work-set) per death, and a
-  one-death epoch of a run backed by a real scheme instance collapses
-  to the scheme's scalar ``replace()``.  The frontier bails back to the
-  vectorized selection whenever equivalence cannot be proven.
+  one-death epoch collapses to the scheme state's scalar
+  ``replace()``.  The frontier bails back to the vectorized selection
+  whenever equivalence cannot be proven.
 
 Result metadata counts the bookkeeping: ``epochs`` (passes that
 processed deaths), ``sequential_rounds`` (frontier-served passes),
@@ -85,8 +88,9 @@ import numpy as np
 from repro.attacks.base import AttackModel
 from repro.device.faults import FaultModel
 from repro.endurance.emap import EnduranceMap
-from repro.obs.metrics import MetricsRegistry, maybe_span
-from repro.sim.faults import FaultInjector, active_injector, active_task_key
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.ensemble import EnsembleMember, simulate_ensemble
+from repro.sim.faults import FaultInjector
 from repro.sim.frontier import DeathFrontier
 from repro.sim.result import SimulationResult, TimelineEvent
 from repro.sparing.base import (
@@ -94,19 +98,16 @@ from repro.sparing.base import (
     BATCH_FAIL,
     BATCH_REMOVE,
     BATCH_REPLACE,
+    BatchedSchemeState,
     ExtendBudget,
     FailDevice,
-    FallbackSchemeState,
     RemoveSlot,
     ReplaceWith,
     SpareScheme,
 )
-from repro.util.rng import RandomState, derive_rng
-from repro.verify.invariants import EngineGuard, InvariantViolation, normalize_paranoia
-from repro.verify.shadow import compare_runs, should_audit
-from repro.verify.snapshot import write_violation_bundle
+from repro.util.rng import RandomState
+from repro.verify.invariants import EngineGuard
 from repro.wearlevel.base import WearLeveler
-from repro.wearlevel.none import NoWearLeveling
 
 #: Engine names accepted by :class:`LifetimeSimulator` and the CLI.
 #: ``fluid-ensemble`` runs the batched epoch kernel but advances many
@@ -256,8 +257,153 @@ def build_result(
     )
 
 
+def _run_exact(
+    state: BatchedSchemeState,
+    trial: int,
+    *,
+    endurance: np.ndarray,
+    backing: np.ndarray,
+    weights: np.ndarray,
+    eta: float,
+    current_death: np.ndarray,
+    min_user_slots: int,
+    active_weight: float,
+    w_max: float,
+    guard: Optional[EngineGuard],
+    corruptor: Optional[FaultInjector],
+    integrity_key: str,
+    total_endurance: float,
+    record_timeline: bool,
+    max_timeline_events: int,
+    w_scalar: Optional[float] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> tuple[float, int, int, str, list[TimelineEvent], dict]:
+    """Advance one trial to device failure: the ``fluid-exact`` event loop.
+
+    Takes the kernel's arguments (``w_max``, ``w_scalar`` and
+    ``metrics`` go unused) and decides one death at a time through
+    ``state.replace``, which the exact engine always backs with a real
+    initialized scheme.
+    """
+    slots = backing.size
+    alive = np.ones(slots, dtype=bool)
+    # The shared death-frontier index is the historical heap: same
+    # (time, slot) entries, same lazy deletion, and its compaction
+    # cadence is pinned by the same ``slots * HEAP_SLACK`` cap -- but
+    # rebuilds reuse the index's single implementation instead of an
+    # ad-hoc flatnonzero reconstruction per overflow.
+    frontier = DeathFrontier(current_death, cap=slots * HEAP_SLACK, alive=alive)
+    served = 0.0
+    served_error = 0.0  # Kahan compensation for the served integral
+    v_now = 0.0
+    deaths = 0
+    rounds = 0
+    replacements = 0
+    failure_reason = _DEGENERATE_REASON
+    timeline: list[TimelineEvent] = []
+
+    def view():
+        assert guard is not None
+        return guard.make_view(
+            served=served,
+            v_now=v_now,
+            deaths=deaths,
+            backing=backing,
+            current_death=current_death,
+        )
+
+    def record(slot: int, dead_line: int, action: str, replacement: int | None) -> None:
+        if record_timeline and len(timeline) < max_timeline_events:
+            timeline.append(
+                TimelineEvent(
+                    writes_served=served,
+                    slot=slot,
+                    dead_line=dead_line,
+                    action=action,
+                    replacement_line=replacement,
+                )
+            )
+
+    while (entry := frontier.pop()) is not None:
+        v, slot = entry
+        rounds += 1
+        if corruptor is not None:
+            kind = corruptor.corrupt_state(integrity_key, rounds)
+            if kind is not None:
+                served = _apply_state_corruption(
+                    kind, served, backing, current_death, total_endurance
+                )
+                v = float(current_death[slot])
+        if guard is not None:
+            guard.on_round(view)
+        # Kahan-compensated accumulation: each increment is tiny
+        # relative to the running total late in long runs.
+        increment = (v - v_now) * active_weight * eta - served_error
+        fresh = served + increment
+        served_error = (fresh - served) - increment
+        served = fresh
+        v_now = v
+        deaths += 1
+        dead_line = int(backing[slot])
+
+        outcome = state.replace(trial, slot, dead_line)
+        if isinstance(outcome, ReplaceWith):
+            replacements += 1
+            if guard is not None:
+                guard.record_death(slot, dead_line, BATCH_REPLACE, line=outcome.line)
+            backing[slot] = outcome.line
+            extra = float(endurance[outcome.line])
+            new_death = v_now + extra / weights[slot]
+            current_death[slot] = new_death
+            frontier.push(slot, new_death)
+            record(slot, dead_line, "replaced", outcome.line)
+            continue
+        if isinstance(outcome, ExtendBudget):
+            replacements += 1
+            if guard is not None:
+                guard.record_death(slot, dead_line, BATCH_EXTEND, wear=outcome.wear)
+            new_death = v_now + outcome.wear / weights[slot]
+            current_death[slot] = new_death
+            frontier.push(slot, new_death)
+            record(slot, dead_line, "extended", None)
+            continue
+        if isinstance(outcome, RemoveSlot):
+            if guard is not None:
+                guard.record_death(slot, dead_line, BATCH_REMOVE)
+            alive[slot] = False
+            active_weight -= float(weights[slot])
+            current_death[slot] = math.inf
+            record(slot, dead_line, "removed", None)
+            live_count = int(alive.sum())
+            if live_count < min_user_slots:
+                failure_reason = (
+                    f"capacity degraded below user capacity "
+                    f"({live_count} < {min_user_slots} slots)"
+                )
+                break
+            continue
+        assert isinstance(outcome, FailDevice)
+        if guard is not None:
+            guard.record_death(slot, dead_line, BATCH_FAIL)
+        failure_reason = outcome.reason
+        record(slot, dead_line, "device-failed", None)
+        break
+    else:
+        if deaths > 0:
+            failure_reason = _EXHAUSTED_REASON
+
+    if guard is not None:
+        guard.final_check(view)
+    extra_meta = {"heap_compactions": frontier.compactions}
+    return served, deaths, replacements, failure_reason, timeline, extra_meta
+
+
 class LifetimeSimulator:
     """Fluid lifetime simulation of one device/attack/defence combination.
+
+    A run is a one-member :func:`~repro.sim.ensemble.simulate_ensemble`
+    call on this simulator's engine, which owns initialization, guard
+    wiring and the shadow audit.
 
     Parameters
     ----------
@@ -266,7 +412,10 @@ class LifetimeSimulator:
     attack:
         Attack or workload model.
     sparing:
-        Spare-line replacement scheme (fresh instance; initialized here).
+        Spare-line replacement scheme (fresh instance).  Runs that need a
+        real scheme -- ``fluid-exact``, paranoia guards, and schemes
+        without a stacked state -- initialize it; the others leave it
+        uninitialized and keep their bookkeeping in the stacked state.
     wearleveler:
         Wear-leveling scheme (fresh instance; attached here); defaults to
         the identity scheme.
@@ -275,31 +424,32 @@ class LifetimeSimulator:
     rng:
         Master seed; forked deterministically into per-component streams.
     engine:
-        ``"fluid-batched"`` (vectorized epoch kernel, the default) or
+        ``"fluid-batched"`` (vectorized epoch kernel, the default),
         ``"fluid-exact"`` (scalar event loop, kept for differential
-        testing).  Both produce identical death/replacement counts.
+        testing) or ``"fluid-ensemble"``.  All produce identical
+        death/replacement counts.
     record_timeline:
         Whether to record per-death :class:`TimelineEvent` entries.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`: the run
         records ``sim/init`` and ``sim/kernel`` spans plus deterministic
-        counters (``sim.deaths``, ``sim.replacements``, per-engine
-        ``sim.epochs`` / ``sim.sequential_rounds`` /
-        ``sim.regime_switches`` / ``sim.full_scans`` /
-        ``sim.heap_compactions``) and the ``sim.deaths_per_run`` and
-        ``sim.epoch_size`` histograms (the latter makes the batched
-        kernel's regime visible: 1-wide epochs are the sequential
-        signature).  With verification enabled it also records
-        ``verify.checks`` / ``verify.violations`` counters and
-        ``verify/invariants`` / ``verify/shadow`` spans.
+        counters (``sim.runs``, ``sim.ensembles``, ``sim.deaths``,
+        ``sim.replacements``, per-engine ``sim.epochs`` /
+        ``sim.sequential_rounds`` / ``sim.regime_switches`` /
+        ``sim.full_scans`` / ``sim.heap_compactions``) and the
+        ``sim.deaths_per_run`` and ``sim.epoch_size`` histograms (the
+        latter makes the batched kernel's regime visible: 1-wide epochs
+        are the sequential signature).  With verification enabled it
+        also records ``verify.checks`` / ``verify.violations`` counters
+        and ``verify/invariants`` / ``verify/shadow`` spans.
     paranoia:
         State-integrity checking level (``"off"``, ``"cheap"``,
         ``"full"``); see :mod:`repro.verify.invariants`.  Checks never
         mutate state, so results are bit-identical across levels.
     shadow_sample:
-        Probability in ``[0, 1]`` that this run (when on the default
-        ``fluid-batched`` engine) is differentially re-executed on the
-        exact reference engine, escalating divergence as a
+        Probability in ``[0, 1]`` that this run (when on a batched
+        engine) is differentially re-executed on the exact reference
+        engine, escalating divergence as a
         :class:`~repro.verify.shadow.ShadowDivergence`.  Sampling is
         deterministic in the task key; requires an integer ``rng`` seed
         so the shadow re-execution is exact.
@@ -320,61 +470,20 @@ class LifetimeSimulator:
         paranoia: str = "off",
         shadow_sample: float = 0.0,
     ) -> None:
-        self._emap = emap
-        self._attack = attack
-        self._sparing = sparing
-        self._wl = wearleveler if wearleveler is not None else NoWearLeveling()
-        self._fault_model = fault_model if fault_model is not None else FaultModel()
-        self._rng = rng
+        self._member = EnsembleMember(
+            emap=emap,
+            attack=attack,
+            sparing=sparing,
+            wearleveler=wearleveler,
+            fault_model=fault_model,
+            rng=rng,
+        )
+        self._engine = normalize_engine(engine)
         self._record_timeline = record_timeline
         self._max_timeline_events = max_timeline_events
-        self._engine = normalize_engine(engine)
         self._metrics = metrics
-        self._paranoia = normalize_paranoia(paranoia)
-        shadow_sample = float(shadow_sample)
-        if not 0.0 <= shadow_sample <= 1.0:
-            raise ValueError(
-                f"shadow_sample must be in [0, 1], got {shadow_sample!r}"
-            )
-        if shadow_sample > 0.0 and not isinstance(rng, (int, np.integer)):
-            raise ValueError(
-                "shadow audits require an integer rng seed: the audit "
-                "re-executes the run from scratch, which a stateful "
-                "Generator (or None) cannot reproduce deterministically"
-            )
+        self._paranoia = paranoia
         self._shadow_sample = shadow_sample
-
-    def _integrity_key(self) -> str:
-        """Stable key for corruption rolls and shadow sampling.
-
-        Prefers the supervising runner's task key (set via
-        :func:`repro.sim.faults.task_scope`); standalone runs derive an
-        equivalent key from the run's own identity.
-        """
-        key = active_task_key()
-        if key:
-            return key
-        return "|".join(
-            (
-                self._attack.describe(),
-                self._sparing.describe(),
-                self._wl.describe(),
-                repr(self._rng),
-                self._engine,
-            )
-        )
-
-    def _repro_key(self) -> dict:
-        """The pinned reproduction key violations carry."""
-        return {
-            "seed": repr(self._rng),
-            "engine": self._engine,
-            "attack": self._attack.describe(),
-            "sparing": self._sparing.describe(),
-            "wearleveler": self._wl.describe(),
-            "paranoia": self._paranoia,
-            "shadow_sample": self._shadow_sample,
-        }
 
     def run(self) -> SimulationResult:
         """Simulate until device failure; returns the lifetime result.
@@ -384,315 +493,16 @@ class LifetimeSimulator:
         enabled and a predicate fails, or if a sampled shadow audit
         diverges.
         """
-        if self._engine == "fluid-ensemble":
-            # A single run is a one-trial ensemble; the ensemble module
-            # owns guard wiring and shadow delegation for its members.
-            from repro.sim.ensemble import EnsembleMember, simulate_ensemble
-
-            [result] = simulate_ensemble(
-                [
-                    EnsembleMember(
-                        emap=self._emap,
-                        attack=self._attack,
-                        sparing=self._sparing,
-                        wearleveler=self._wl,
-                        fault_model=self._fault_model,
-                        rng=self._rng,
-                    )
-                ],
-                record_timeline=self._record_timeline,
-                max_timeline_events=self._max_timeline_events,
-                metrics=self._metrics,
-                paranoia=self._paranoia,
-                shadow_sample=self._shadow_sample,
-            )
-            return result
-        try:
-            result = self._run_once()
-        except InvariantViolation as violation:
-            write_violation_bundle(violation)
-            raise
-        if (
-            self._shadow_sample > 0.0
-            and self._engine == "fluid-batched"
-            and should_audit(self._shadow_sample, self._integrity_key())
-        ):
-            try:
-                self._shadow_audit(result)
-            except InvariantViolation as violation:
-                if self._metrics is not None:
-                    self._metrics.inc("verify.violations")
-                write_violation_bundle(violation)
-                raise
-        return result
-
-    def _shadow_audit(self, primary: SimulationResult) -> None:
-        """Re-run on the exact reference engine and compare results."""
-        with maybe_span(self._metrics, "verify/shadow"):
-            if self._metrics is not None:
-                self._metrics.inc("verify.shadow_audits")
-            reference = LifetimeSimulator(
-                self._emap,
-                self._attack,
-                self._sparing,
-                self._wl,
-                self._fault_model,
-                self._rng,
-                record_timeline=False,
-                engine="fluid-exact",
-                paranoia="off",
-            )
-            shadow_result = reference._run_once()
-            compare_runs(
-                primary,
-                shadow_result,
-                rounds=primary.deaths,
-                repro=self._repro_key(),
-            )
-
-    def _run_once(self) -> SimulationResult:
-        with maybe_span(self._metrics, "sim/init"):
-            emap = self._emap
-            endurance = self._fault_model.effective_endurance(emap.line_endurance)
-            total_endurance = float(endurance.sum())
-
-            sparing_rng = derive_rng(self._rng, "sparing")
-            self._sparing.initialize(emap, sparing_rng)
-            backing = self._sparing.initial_backing
-            slots = backing.size
-            min_user_slots = min(self._sparing.min_user_slots, slots)
-
-            wl_rng = derive_rng(self._rng, "wearlevel")
-            self._wl.attach(endurance[backing], wl_rng)
-            profile = self._attack.profile(slots)
-            distribution = self._wl.wear_weights(profile)
-            weights = np.asarray(distribution.weights, dtype=float)
-            if weights.size != slots:
-                raise ValueError(
-                    f"wear-leveler produced {weights.size} weights for {slots} slots"
-                )
-            eta = distribution.useful_fraction
-
-            budgets = endurance[backing].astype(float)
-            current_death = np.full(slots, math.inf)
-            prone = weights > 0.0
-            current_death[prone] = budgets[prone] / weights[prone]
-
-            guard: Optional[EngineGuard] = None
-            if self._paranoia != "off":
-                guard = EngineGuard(
-                    self._paranoia,
-                    sparing=self._sparing,
-                    endurance=endurance,
-                    weights=weights,
-                    eta=eta,
-                    total_endurance=total_endurance,
-                    tolerance=accounting_tolerance,
-                    metrics=self._metrics,
-                    repro=self._repro_key(),
-                )
-                guard.start(backing)
-            injector = active_injector()
-            corruptor: Optional[FaultInjector] = (
-                injector
-                if injector is not None and injector.spec.corrupt_state > 0.0
-                else None
-            )
-
-        with maybe_span(self._metrics, "sim/kernel"):
-            if self._engine == "fluid-exact":
-                outcome = self._run_exact(
-                    endurance=endurance,
-                    backing=backing,
-                    weights=weights,
-                    eta=eta,
-                    current_death=current_death,
-                    min_user_slots=min_user_slots,
-                    guard=guard,
-                    corruptor=corruptor,
-                    total_endurance=total_endurance,
-                )
-            else:
-                # The epoch kernel, with this run as the one trial of a
-                # one-scheme ensemble state.
-                from repro.sim.ensemble import _advance_trial
-
-                outcome = _advance_trial(
-                    FallbackSchemeState([self._sparing]),
-                    0,
-                    endurance=endurance,
-                    backing=backing,
-                    weights=weights,
-                    eta=eta,
-                    current_death=current_death,
-                    min_user_slots=min_user_slots,
-                    # fsum: the initial active weight is the one sum every
-                    # served-writes increment multiplies, so compute it
-                    # exactly (a uniform 20-slot profile must sum to 1.0).
-                    active_weight=math.fsum(weights),
-                    w_max=float(weights.max()) if weights.size else 0.0,
-                    guard=guard,
-                    corruptor=corruptor,
-                    integrity_key=(
-                        self._integrity_key() if corruptor is not None else ""
-                    ),
-                    total_endurance=total_endurance,
-                    record_timeline=self._record_timeline,
-                    max_timeline_events=self._max_timeline_events,
-                    metrics=self._metrics,
-                )
-        return build_result(
-            outcome,
-            total_endurance=total_endurance,
-            slots=slots,
+        [result] = simulate_ensemble(
+            [self._member],
             engine=self._engine,
-            attack=self._attack.describe(),
-            wearleveler=self._wl.describe(),
-            sparing=self._sparing.describe(),
-            fault_model=self._fault_model.describe(),
+            record_timeline=self._record_timeline,
+            max_timeline_events=self._max_timeline_events,
             metrics=self._metrics,
+            paranoia=self._paranoia,
+            shadow_sample=self._shadow_sample,
         )
-
-    # ------------------------------------------------------------------
-    # fluid-exact: scalar event loop
-    # ------------------------------------------------------------------
-
-    def _run_exact(
-        self,
-        endurance: np.ndarray,
-        backing: np.ndarray,
-        weights: np.ndarray,
-        eta: float,
-        current_death: np.ndarray,
-        min_user_slots: int,
-        guard: Optional[EngineGuard] = None,
-        corruptor: Optional[FaultInjector] = None,
-        total_endurance: float = 0.0,
-    ) -> tuple[float, int, int, str, list[TimelineEvent], dict]:
-        slots = backing.size
-        alive = np.ones(slots, dtype=bool)
-        # The shared death-frontier index is the historical heap: same
-        # (time, slot) entries, same lazy deletion, and its compaction
-        # cadence is pinned by the same ``slots * HEAP_SLACK`` cap -- but
-        # rebuilds reuse the index's single implementation instead of an
-        # ad-hoc flatnonzero reconstruction per overflow.
-        frontier = DeathFrontier(
-            current_death, cap=slots * HEAP_SLACK, alive=alive
-        )
-        # fsum: the initial active weight is the one sum every served-
-        # writes increment multiplies, so compute it exactly (a uniform
-        # 20-slot profile must sum to 1.0, not 1.0 + 1ulp).
-        active_weight = math.fsum(weights)
-        served = 0.0
-        served_error = 0.0  # Kahan compensation for the served integral
-        v_now = 0.0
-        deaths = 0
-        rounds = 0
-        replacements = 0
-        failure_reason = _DEGENERATE_REASON
-        timeline: list[TimelineEvent] = []
-        integrity_key = (
-            self._integrity_key() if corruptor is not None else ""
-        )
-
-        def view():
-            assert guard is not None
-            return guard.make_view(
-                served=served,
-                v_now=v_now,
-                deaths=deaths,
-                backing=backing,
-                current_death=current_death,
-            )
-
-        def record(slot: int, dead_line: int, action: str, replacement: int | None) -> None:
-            if self._record_timeline and len(timeline) < self._max_timeline_events:
-                timeline.append(
-                    TimelineEvent(
-                        writes_served=served,
-                        slot=slot,
-                        dead_line=dead_line,
-                        action=action,
-                        replacement_line=replacement,
-                    )
-                )
-
-        while (entry := frontier.pop()) is not None:
-            v, slot = entry
-            rounds += 1
-            if corruptor is not None:
-                kind = corruptor.corrupt_state(integrity_key, rounds)
-                if kind is not None:
-                    served = _apply_state_corruption(
-                        kind, served, backing, current_death, total_endurance
-                    )
-                    v = float(current_death[slot])
-            if guard is not None:
-                guard.on_round(view)
-            # Kahan-compensated accumulation: each increment is tiny
-            # relative to the running total late in long runs.
-            increment = (v - v_now) * active_weight * eta - served_error
-            fresh = served + increment
-            served_error = (fresh - served) - increment
-            served = fresh
-            v_now = v
-            deaths += 1
-            dead_line = int(backing[slot])
-
-            outcome = self._sparing.replace(slot, dead_line)
-            if isinstance(outcome, ReplaceWith):
-                replacements += 1
-                if guard is not None:
-                    guard.record_death(
-                        slot, dead_line, BATCH_REPLACE, line=outcome.line
-                    )
-                backing[slot] = outcome.line
-                extra = float(endurance[outcome.line])
-                new_death = v_now + extra / weights[slot]
-                current_death[slot] = new_death
-                frontier.push(slot, new_death)
-                record(slot, dead_line, "replaced", outcome.line)
-                continue
-            if isinstance(outcome, ExtendBudget):
-                replacements += 1
-                if guard is not None:
-                    guard.record_death(
-                        slot, dead_line, BATCH_EXTEND, wear=outcome.wear
-                    )
-                new_death = v_now + outcome.wear / weights[slot]
-                current_death[slot] = new_death
-                frontier.push(slot, new_death)
-                record(slot, dead_line, "extended", None)
-                continue
-            if isinstance(outcome, RemoveSlot):
-                if guard is not None:
-                    guard.record_death(slot, dead_line, BATCH_REMOVE)
-                alive[slot] = False
-                active_weight -= float(weights[slot])
-                current_death[slot] = math.inf
-                record(slot, dead_line, "removed", None)
-                live_count = int(alive.sum())
-                if live_count < min_user_slots:
-                    failure_reason = (
-                        f"capacity degraded below user capacity "
-                        f"({live_count} < {min_user_slots} slots)"
-                    )
-                    break
-                continue
-            assert isinstance(outcome, FailDevice)
-            if guard is not None:
-                guard.record_death(slot, dead_line, BATCH_FAIL)
-            failure_reason = outcome.reason
-            record(slot, dead_line, "device-failed", None)
-            break
-        else:
-            if deaths > 0:
-                failure_reason = _EXHAUSTED_REASON
-
-        if guard is not None:
-            guard.final_check(view)
-        extra_meta = {"heap_compactions": frontier.compactions}
-        return served, deaths, replacements, failure_reason, timeline, extra_meta
+        return result
 
 
 def simulate_lifetime(

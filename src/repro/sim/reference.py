@@ -22,6 +22,7 @@ from repro.attacks.base import AttackModel
 from repro.device.bank import NVMBank
 from repro.device.faults import FaultModel
 from repro.endurance.emap import EnduranceMap
+from repro.sim.ensemble import EnsembleMember, initialize_schemes
 from repro.sim.result import SimulationResult
 from repro.sparing.base import (
     ExtendBudget,
@@ -66,8 +67,10 @@ class ReferenceSimulator:
     def run(self) -> SimulationResult:
         """Simulate write by write until device failure (or the guard)."""
         bank = NVMBank(self._emap, fault_model=self._fault_model)
-        sparing_rng = derive_rng(self._rng, "sparing")
-        self._sparing.initialize(self._emap, sparing_rng)
+        initialize_schemes(
+            [EnsembleMember(self._emap, self._attack, self._sparing, rng=self._rng)],
+            stacked=False,
+        )
         backing = self._sparing.initial_backing.copy()
         slots = backing.size
         min_user_slots = min(self._sparing.min_user_slots, slots)

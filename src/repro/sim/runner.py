@@ -79,7 +79,8 @@ from repro.sim.faults import (
     mark_worker_process,
     task_scope,
 )
-from repro.sim.lifetime import normalize_engine, simulate_lifetime
+from repro.sim.ensemble import EnsembleMember, simulate_ensemble
+from repro.sim.lifetime import normalize_engine
 from repro.sim.resilience import (
     Checkpoint,
     FailureRecord,
@@ -286,32 +287,24 @@ class SimTask:
             },
         }
 
+    def member(self, metrics: Optional[MetricsRegistry] = None) -> EnsembleMember:
+        """Build the task's components: emap, attack, sparing, wear-leveler."""
+        with maybe_span(metrics, "sim/endurance"):
+            emap = self.make_emap()
+        with maybe_span(metrics, "sim/components"):
+            return EnsembleMember(
+                emap=emap,
+                attack=build_attack(self.attack),
+                sparing=build_sparing(self.sparing, self.p, self.swr),
+                wearleveler=build_wearleveler(self.wearlevel),
+                rng=self.effective_seed,
+            )
+
     def execute(
         self, metrics: Optional[MetricsRegistry] = None
     ) -> Tuple[SimulationResult, float]:
         """Run the simulation; returns ``(result, wall_seconds)``."""
-        start = perf_counter()
-        payload, options = _task_context_of(self)
-        with snapshot.task_context(payload, options):
-            with maybe_span(metrics, "sim/endurance"):
-                emap = self.make_emap()
-            with maybe_span(metrics, "sim/components"):
-                attack = build_attack(self.attack)
-                sparing = build_sparing(self.sparing, self.p, self.swr)
-                wearleveler = build_wearleveler(self.wearlevel)
-            result = simulate_lifetime(
-                emap,
-                attack,
-                sparing,
-                wearleveler=wearleveler,
-                rng=self.effective_seed,
-                engine=self.engine,
-                record_timeline=self.record_timeline,
-                metrics=metrics,
-                paranoia=self.paranoia,
-                shadow_sample=self.shadow_sample,
-            )
-        return result, perf_counter() - start
+        return _execute_solo(self, metrics)
 
 
 @dataclass(frozen=True)
@@ -344,40 +337,53 @@ class CallableTask:
         normalize_paranoia(self.paranoia)
         require_fraction(self.shadow_sample, "shadow_sample")
 
-    def execute(
-        self, metrics: Optional[MetricsRegistry] = None
-    ) -> Tuple[SimulationResult, float]:
-        """Run the simulation; returns ``(result, wall_seconds)``.
+    def member(self, metrics: Optional[MetricsRegistry] = None) -> EnsembleMember:
+        """Build the task's components.
 
         Factories are invoked in the same order as the historical serial
         Monte-Carlo loop (wear-leveler, emap, attack, sparing) so stateful
         factories observe an identical call sequence.
         """
-        start = perf_counter()
-        payload, options = _task_context_of(self)
-        with snapshot.task_context(payload, options):
-            with maybe_span(metrics, "sim/components"):
-                wearleveler = (
-                    self.wearleveler_factory() if self.wearleveler_factory else None
-                )
-            with maybe_span(metrics, "sim/endurance"):
-                emap = self.emap_factory(self.seed)
-            result = simulate_lifetime(
-                emap,
-                self.attack_factory(),
-                self.sparing_factory(),
-                wearleveler=wearleveler,
-                rng=self.seed,
-                engine=self.engine,
-                record_timeline=self.record_timeline,
-                metrics=metrics,
-                paranoia=self.paranoia,
-                shadow_sample=self.shadow_sample,
+        with maybe_span(metrics, "sim/components"):
+            wearleveler = (
+                self.wearleveler_factory() if self.wearleveler_factory else None
             )
-        return result, perf_counter() - start
+        with maybe_span(metrics, "sim/endurance"):
+            emap = self.emap_factory(self.seed)
+        return EnsembleMember(
+            emap=emap,
+            attack=self.attack_factory(),
+            sparing=self.sparing_factory(),
+            wearleveler=wearleveler,
+            rng=self.seed,
+        )
+
+    def execute(
+        self, metrics: Optional[MetricsRegistry] = None
+    ) -> Tuple[SimulationResult, float]:
+        """Run the simulation; returns ``(result, wall_seconds)``."""
+        return _execute_solo(self, metrics)
 
 
 AnyTask = Union[SimTask, CallableTask]
+
+
+def _execute_solo(
+    task: AnyTask, metrics: Optional[MetricsRegistry]
+) -> Tuple[SimulationResult, float]:
+    """Run one task as a one-member ensemble on its own engine."""
+    start = perf_counter()
+    payload, options = _task_context_of(task)
+    with snapshot.task_context(payload, options):
+        [result] = simulate_ensemble(
+            [task.member(metrics)],
+            engine=task.engine,
+            record_timeline=task.record_timeline,
+            metrics=metrics,
+            paranoia=task.paranoia,
+            shadow_sample=task.shadow_sample,
+        )
+    return result, perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -391,10 +397,8 @@ class _EnsembleChunk:
     keeps its own results slot, cache entry, and checkpoint record, so
     everything downstream of the runner is oblivious to the grouping.
 
-    Components are built in each task type's historical order (SimTask:
-    emap, attack, sparing, wear-leveler; CallableTask: wear-leveler,
-    emap, attack, sparing) so stateful factories observe the exact call
-    sequence of per-task dispatch.
+    Components come from each task's ``member()``, so stateful
+    factories observe the exact call sequence of per-task dispatch.
     """
 
     members: Tuple[AnyTask, ...]
@@ -407,42 +411,9 @@ class _EnsembleChunk:
         self, metrics: Optional[MetricsRegistry] = None
     ) -> Tuple[List[SimulationResult], float]:
         """Run every member through one ensemble; results in member order."""
-        from repro.sim.ensemble import EnsembleMember, simulate_ensemble
-
         start = perf_counter()
-        ensemble_members: List[EnsembleMember] = []
-        for task in self.members:
-            if isinstance(task, SimTask):
-                with maybe_span(metrics, "sim/endurance"):
-                    emap = task.make_emap()
-                with maybe_span(metrics, "sim/components"):
-                    attack = build_attack(task.attack)
-                    sparing = build_sparing(task.sparing, task.p, task.swr)
-                    wearleveler = build_wearleveler(task.wearlevel)
-                rng: Union[int, None] = task.effective_seed
-            else:
-                with maybe_span(metrics, "sim/components"):
-                    wearleveler = (
-                        task.wearleveler_factory()
-                        if task.wearleveler_factory
-                        else None
-                    )
-                with maybe_span(metrics, "sim/endurance"):
-                    emap = task.emap_factory(task.seed)
-                attack = task.attack_factory()
-                sparing = task.sparing_factory()
-                rng = task.seed
-            ensemble_members.append(
-                EnsembleMember(
-                    emap=emap,
-                    attack=attack,
-                    sparing=sparing,
-                    wearleveler=wearleveler,
-                    rng=rng,
-                )
-            )
         results = simulate_ensemble(
-            ensemble_members,
+            [task.member(metrics) for task in self.members],
             record_timeline=self.record_timeline,
             metrics=metrics,
             paranoia=self.paranoia,

@@ -29,11 +29,12 @@ engine uses it to size chronologically-safe death batches (see
 ``sim/lifetime.py``).  Returning ``None`` (the default) makes the engine
 fall back to one-death-at-a-time delivery.
 
-**Ensemble stacking.**  The trial-stacked (``fluid-ensemble``) engine
-advances many independent trials at once and talks to sparing through
-:class:`BatchedSchemeState`: per-trial state stacked into arrays, with a
-:class:`FallbackSchemeState` wrapping real per-trial instances for any
-scheme without a stacked implementation (see ``sim/ensemble.py``).
+**Ensemble stacking.**  Every fluid run is initialized and advanced
+through :class:`BatchedSchemeState` -- a solo run is a one-member
+ensemble (see ``sim/ensemble.py``): per-trial state stacked into arrays,
+with a :class:`FallbackSchemeState` wrapping real per-trial instances
+for any scheme without a stacked implementation, and for every run the
+paranoia guards or the ``fluid-exact`` engine drive.
 """
 
 from __future__ import annotations
@@ -444,9 +445,8 @@ class BatchedSchemeState(ABC):
     """Per-trial sparing state stacked across an ensemble of trials.
 
     The batched epoch kernel (``sim/ensemble.py``) advances every trial
-    of a ``fluid-ensemble`` run, and a solo ``fluid-batched`` run as the
-    one trial of a :class:`FallbackSchemeState`, through this protocol.
-    It is the scheme-side contract: every method takes a ``trial`` index
+    through this protocol; a solo run is the one trial of a one-member
+    ensemble.  It is the scheme-side contract: every method takes a ``trial`` index
     and must behave *bit-identically* to a fresh scheme instance
     initialized for that trial alone -- same backing permutation, same
     replacement decisions, same failure strings -- so ensemble results
@@ -482,6 +482,14 @@ class BatchedSchemeState(ABC):
         """Trial-``trial`` equivalent of :meth:`SpareScheme.replace_batch`."""
 
     @abstractmethod
+    def replace(self, trial: int, slot: int, dead_line: int) -> Replacement:
+        """Trial-``trial`` equivalent of :meth:`SpareScheme.replace`.
+
+        The kernel's one-death epochs (the BPA sequential regime) and the
+        ``fluid-exact`` event loop decide deaths one at a time through it.
+        """
+
+    @abstractmethod
     def replacement_extra_floor(self, trial: int) -> Optional[float]:
         """Trial equivalent of :meth:`SpareScheme.replacement_extra_floor`."""
 
@@ -509,10 +517,9 @@ class FallbackSchemeState(BatchedSchemeState):
 
     The universal path: each trial keeps its own initialized
     :class:`SpareScheme`, so any scheme -- including third-party scalar
-    ones -- runs under the ensemble engine with exactly its solo
-    semantics; a solo ``fluid-batched`` run wraps its scheme in a
-    one-scheme instance.  ``schemes[t]`` must already be initialized
-    with trial ``t``'s endurance map and rng stream.
+    ones -- runs under the kernel with exactly its own semantics.
+    ``schemes[t]`` must already be initialized with trial ``t``'s
+    endurance map and rng stream.
     """
 
     def __init__(self, schemes: Sequence[SpareScheme]) -> None:
@@ -545,6 +552,9 @@ class FallbackSchemeState(BatchedSchemeState):
     ) -> RawBatchOutcome:
         outcome = self._schemes[trial].replace_batch(slots, dead_lines)
         return outcome.actions, outcome.lines, outcome.wear, outcome.fail_reason
+
+    def replace(self, trial: int, slot: int, dead_line: int) -> Replacement:
+        return self._schemes[trial].replace(slot, dead_line)
 
     def replacement_extra_floor(self, trial: int) -> Optional[float]:
         return self._schemes[trial].replacement_extra_floor()

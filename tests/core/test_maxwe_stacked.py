@@ -1,0 +1,97 @@
+"""Differential test: the stacked Max-WE state's scalar ``replace`` vs ``MaxWE``.
+
+Solo Max-WE runs keep their replacement bookkeeping in a
+:class:`~repro.core.maxwe.MaxWEStackedState`, and the kernel's one-death
+epochs decide through its scalar ``replace``.  That port drops the
+RMT/LMT ledgers, so it is pinned here against the real scheme: the same
+map, the same seeded sequence of deaths, and after every step the same
+verdict, the same line, the same failure string, and the same
+``replacement_extra_floor`` / ``replacement_capacity``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.maxwe import MaxWE, MaxWEStackedState
+from repro.endurance.emap import EnduranceMap
+from repro.sparing.base import FailDevice, ReplaceWith
+
+REGIONS = 40
+LINES_PER_REGION = 4
+
+
+def endurance_map(seed: int) -> EnduranceMap:
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(100.0, 1000.0, size=REGIONS * LINES_PER_REGION)
+    return EnduranceMap(values, regions=REGIONS)
+
+
+def replay(seed: int, fallback: bool):
+    """Kill slots from a small seeded hot set until the device fails.
+
+    Repeated deaths of the same few slots walk every branch: first
+    deaths of RWR lines fail over to their SWR line, first deaths
+    elsewhere take a pool line, a rescued slot's next death re-rescues,
+    a failed-over slot's next death falls back to the pool (or fails the
+    device in strict mode), and the pool eventually runs dry.  Returns
+    the kinds of deaths seen.
+    """
+    emap = endurance_map(seed)
+    reference = MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback)
+    reference.initialize(emap, rng=seed)
+    stacked = MaxWEStackedState([MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback)], [emap])
+
+    backing = reference.initial_backing
+    np.testing.assert_array_equal(stacked.backing(0), backing)
+    per = emap.lines_per_region
+    rwr_regions = set(reference.plan.rwr_regions.tolist())
+    rwr_lines = len(rwr_regions) * per
+
+    def capacity() -> int:
+        # RWR lines still awaiting their failover plus unallocated pool lines.
+        return rwr_lines - reference.rmt.worn_count() + reference.pool_remaining
+
+    rng = np.random.default_rng(seed)
+    rwr_slots = [s for s in range(backing.size) if backing[s] // per in rwr_regions]
+    other_slots = [s for s in range(backing.size) if backing[s] // per not in rwr_regions]
+    hot = rng.choice(rwr_slots, 4, replace=False).tolist() + rng.choice(
+        other_slots, 4, replace=False
+    ).tolist()
+    history = {slot: "original" for slot in hot}
+
+    seen = set()
+    for _ in range(10 * backing.size):
+        slot = int(rng.choice(hot))
+        dead_line = int(backing[slot])
+        before = history[slot]
+        want = reference.replace(slot, dead_line)
+        got = stacked.replace(0, slot, dead_line)
+        assert got == want, (slot, dead_line, before)
+        assert stacked.replacement_extra_floor(0) == reference.replacement_extra_floor()
+        assert stacked.replacement_capacity(0) == capacity()
+        if isinstance(want, FailDevice):
+            seen.add(("fail", want.reason.split()[0], before))
+            return seen
+        assert isinstance(want, ReplaceWith)
+        if before == "original" and dead_line // per in rwr_regions:
+            seen.add("swr-failover")
+            history[slot] = "swr"
+        else:
+            seen.add({"original": "pool-rescue", "lmt": "re-rescue", "swr": "swr-to-pool"}[before])
+            history[slot] = "lmt"
+        backing[slot] = want.line
+    raise AssertionError("the device never failed")
+
+
+@pytest.mark.parametrize("fallback", (True, False))
+def test_scalar_replace_matches_maxwe(fallback):
+    seen = set()
+    for seed in range(12):
+        seen |= replay(seed, fallback)
+    assert {"swr-failover", "pool-rescue", "re-rescue"} <= seen
+    if fallback:
+        assert "swr-to-pool" in seen
+        assert ("fail", "additional", "lmt") in seen or ("fail", "additional", "original") in seen
+    else:
+        assert "swr-to-pool" not in seen
+        assert ("fail", "SWR", "swr") in seen

@@ -194,6 +194,12 @@ class TestArgumentHandling:
             with pytest.raises(SystemExit):
                 main(argv)
 
+    def test_oversized_device_fails_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-spare", "--regions", "16384", "--lines-per-region", "2048"])
+        assert excinfo.value.code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
     def test_bad_fault_spec_fails_at_parse_time(self):
         with pytest.raises(SystemExit):
             main(["sweep-spare", "--inject-faults", "crash=2"])
@@ -221,6 +227,15 @@ class TestBatchSpecErrors:
         path.write_text(json.dumps([{"label": "x", "sparing": "bogus"}]))
         assert main(["batch", str(path), "--no-cache", *TINY]) == 1
         assert "unknown sparing" in capsys.readouterr().out
+
+    def test_spec_file_on_an_oversized_device_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "specs.json"
+        path.write_text(json.dumps([{"label": "x", "sparing": "max-we"}]))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", str(path), "--no-cache", "--regions", "4096",
+                  "--lines-per-region", "8192"])
+        assert excinfo.value.code == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_out_of_range_spec_fraction_is_reported(self, capsys, tmp_path):
         path = tmp_path / "specs.json"

@@ -108,6 +108,22 @@ class TestErrorCodes:
             harness.client.submit([{"label": "x", "attack": "nope"}], SMALL)
         assert excinfo.value.status == 400
 
+    def test_oversized_device_is_400(self, harness):
+        with pytest.raises(ServiceError, match="exceeds the limit") as excinfo:
+            harness.client.submit(SPECS, {"regions": 2048, "lines_per_region": 2**20})
+        assert excinfo.value.status == 400
+
+    def test_too_many_specs_is_400(self, harness):
+        from repro.service.core import MAX_SPECS_PER_REQUEST
+
+        specs = [
+            {"label": f"s{index}", "attack": "uaa", "sparing": "none"}
+            for index in range(MAX_SPECS_PER_REQUEST + 1)
+        ]
+        with pytest.raises(ServiceError, match="at most") as excinfo:
+            harness.client.submit(specs, SMALL)
+        assert excinfo.value.status == 400
+
     def test_unknown_job_is_404(self, harness):
         with pytest.raises(ServiceError) as excinfo:
             harness.client.status("j-missing")

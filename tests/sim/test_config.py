@@ -3,7 +3,7 @@
 import pytest
 
 from repro.device.errors import ConfigurationError
-from repro.sim.config import ExperimentConfig, default_endurance_map
+from repro.sim.config import MAX_TOTAL_LINES, ExperimentConfig, default_endurance_map
 
 
 class TestDefaultEnduranceMap:
@@ -73,3 +73,19 @@ class TestExperimentConfig:
     def test_validation(self, field, value):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(**{field: value})
+
+
+class TestDeviceSizeLimit:
+    def test_largest_device_the_repo_runs_is_accepted(self):
+        # The 1M-line full-scale benchmark device.
+        assert ExperimentConfig(regions=16384, lines_per_region=64).total_lines == 2**20
+
+    def test_limit_is_the_papers_device(self):
+        assert MAX_TOTAL_LINES == 2048 * 8192
+        assert ExperimentConfig(regions=2048, lines_per_region=8192).total_lines == MAX_TOTAL_LINES
+
+    def test_one_line_over_the_limit_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="exceeds the limit"):
+            ExperimentConfig(regions=MAX_TOTAL_LINES + 1, lines_per_region=1)
+        with pytest.raises(ConfigurationError, match="exceeds the limit"):
+            ExperimentConfig(regions=2048, lines_per_region=8193)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.attacks.bpa import BirthdayParadoxAttack
 from repro.attacks.uaa import UniformAddressAttack
-from repro.core.maxwe import MaxWE
+from repro.core.maxwe import MaxWE, MaxWEStackedState
 from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
 from repro.sparing.pcd import PCD
@@ -64,7 +64,10 @@ class TestEmapIsolation:
 class TestSchemeIsolation:
     def test_initial_backing_unchanged_by_engine(self):
         """The engine redirects slots by mutating a backing array; that must
-        be a copy, never the scheme's internal state."""
+        be a copy, never the scheme's internal state.  Only runs that
+        initialize the caller's scheme can leak into it: paranoia guards
+        need the real scheme, so ``paranoia="cheap"`` forces one (the
+        stacked-state counterpart is the next test)."""
         from repro.util.rng import derive_rng
 
         emap = SMALL.make_emap()
@@ -75,9 +78,33 @@ class TestSchemeIsolation:
         expected = probe.initial_backing
 
         sparing = MaxWE(0.1, 0.9)
-        result = simulate_lifetime(emap, UniformAddressAttack(), sparing, rng=7)
+        result = simulate_lifetime(
+            emap, UniformAddressAttack(), sparing, rng=7, paranoia="cheap"
+        )
         assert result.replacements > 0  # the run did redirect slots
         np.testing.assert_array_equal(sparing.initial_backing, expected)
+
+    def test_stacked_backing_unchanged_by_engine(self, monkeypatch):
+        """An unguarded Max-WE run keeps its bookkeeping in a
+        :class:`MaxWEStackedState`; the kernel's redirects must not reach
+        that state's initial slot assignment either."""
+        emap = SMALL.make_emap()
+        expected = MaxWEStackedState([MaxWE(0.1, 0.9)], [emap]).backing(0)
+
+        built = []
+        make_batched_state = MaxWE.make_batched_state.__func__
+
+        def capture(cls, schemes, emaps):
+            state = make_batched_state(cls, schemes, emaps)
+            built.append(state)
+            return state
+
+        monkeypatch.setattr(MaxWE, "make_batched_state", classmethod(capture))
+        result = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.1, 0.9), rng=7)
+        assert result.replacements > 0  # the run did redirect slots
+        [state] = built
+        assert isinstance(state, MaxWEStackedState)
+        np.testing.assert_array_equal(state.backing(0), expected)
 
     def test_shared_emap_runs_are_exactly_repeatable(self):
         """The sweep-driver pattern: one emap, many runs.  Any cross-run
@@ -91,6 +118,26 @@ class TestSchemeIsolation:
         assert first.writes_served == second.writes_served
         assert first.deaths == second.deaths
         assert first.replacements == second.replacements
+
+    def test_generator_seeded_ensemble_matches_solo(self):
+        """A Generator seed's streams depend on its fork history: the
+        stacked Max-WE state draws nothing from the ``"sparing"`` fork,
+        but still takes it, so the wear-leveler fork that follows is the
+        one a solo run sees."""
+        emap = SMALL.make_emap()
+        runs = {}
+        for engine in ("fluid-batched", "fluid-ensemble"):
+            result = simulate_lifetime(
+                emap,
+                BirthdayParadoxAttack(),
+                MaxWE(0.1, 0.9),
+                wearleveler=make_scheme("toss-up", lines_per_region=1),
+                rng=np.random.default_rng(13),
+                engine=engine,
+            ).to_dict()
+            del result["metadata"]["engine"]
+            runs[engine] = result
+        assert runs["fluid-ensemble"] == runs["fluid-batched"]
 
     def test_rebuilt_emap_is_bit_identical(self):
         """The parallel runner rebuilds the emap from config in each worker;
