@@ -99,12 +99,18 @@ class Histogram:
                 f"got {len(self.counts)}"
             )
 
-    def observe(self, value: float) -> None:
-        """Record one observation."""
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``.
+
+        For integer values (below 2**53) the bulk form leaves the same
+        snapshot as ``count`` single calls: ``value * count`` is exact.
+        """
+        if count < 1:
+            raise ValueError(f"count must be a positive integer, got {count}")
         value = float(value)
-        self.counts[_bucket_index(self.boundaries, value)] += 1
-        self.count += 1
-        self.total += value
+        self.counts[_bucket_index(self.boundaries, value)] += count
+        self.count += count
+        self.total += value * count
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -177,8 +183,9 @@ class MetricsRegistry:
         name: str,
         value: float,
         boundaries: Sequence[float] = DEFAULT_COUNT_BUCKETS,
+        count: int = 1,
     ) -> None:
-        """Record ``value`` into the deterministic histogram ``name``.
+        """Record ``value`` (``count`` times) into the histogram ``name``.
 
         Use only for quantities that are pure functions of config + seed
         (death counts, epochs, batch sizes); wall-clock durations belong
@@ -187,7 +194,7 @@ class MetricsRegistry:
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram(tuple(boundaries))
-        histogram.observe(value)
+        histogram.observe(value, count)
 
     def observe_seconds(
         self,

@@ -14,10 +14,14 @@ one engine invocation:
   falls back to real per-trial instances
   (:class:`~repro.sparing.base.FallbackSchemeState`), which is always
   correct, just without the stacked-init speedup.
-* **Shared spectral quantities** -- the wear-weight ``math.fsum`` and
-  ``w_max`` are computed once per distinct weight vector and reused
-  across trials (identical inputs give identical floats, so sharing is
-  bit-safe).
+* **Shared spectral quantities** -- the wear-weight total and ``w_max``
+  are computed once per distinct weight vector and reused across trials
+  (identical inputs give identical floats, so sharing is bit-safe).  The
+  total is the exact (correctly rounded) sum, the same bits as
+  ``math.fsum``, from :func:`~repro.util.exactsum.exact_sum`'s cheapest
+  applicable tier: a constant vector (every UAA run), two values (the
+  concentrated BPA profile), or exponent-bucketed integer mantissas
+  (endurance-aware wear-levelers' distinct weights).
 
 The module also owns the one place a fluid run is initialized,
 :func:`simulate_ensemble`, and the one batched epoch kernel,
@@ -72,6 +76,7 @@ from repro.sparing.base import (
     ReplaceWith,
     SpareScheme,
 )
+from repro.util.exactsum import exact_sum
 from repro.util.rng import RandomState, derive_rng
 from repro.verify.invariants import EngineGuard, InvariantViolation, normalize_paranoia
 from repro.verify.shadow import compare_runs, should_audit
@@ -232,13 +237,15 @@ def _init_trial(
     """Build member ``index``'s arrays from its scheme state and components.
 
     Distinct weight vectors are rare (one per attack/wear-level config),
-    so ``fsum`` and ``w_max`` are shared through ``weight_cache`` across
-    members with equal weights.  NoWearLeveling's uniform-profile
-    distribution is a pure function of the slot count (np.full(slots,
-    1/slots), eta 1, no rng use), so ``uniform_cache`` (keyed by slot
-    count) lets the first such member's build serve every later member
-    with the same count -- skipping attach(), wear_weights() and the
-    weight-cache comparison entirely.
+    so the exact weight total (correctly rounded, the same bits as
+    ``math.fsum``, from the constant, two-valued or bucketed tier of
+    :func:`~repro.util.exactsum.exact_sum`) and ``w_max`` are shared
+    through ``weight_cache`` across members with equal weights.
+    NoWearLeveling's uniform-profile distribution is a pure function of
+    the slot count (np.full(slots, 1/slots), eta 1, no rng use), so
+    ``uniform_cache`` (keyed by slot count) lets the first such member's
+    build serve every later member with the same count -- skipping
+    attach(), wear_weights() and the weight-cache comparison entirely.
     """
     fault_model = member.fault_model if member.fault_model is not None else FaultModel()
     endurance = fault_model.effective_endurance(member.emap.line_endurance)
@@ -286,7 +293,8 @@ def _init_trial(
         # one full divide -- both branches produce the same values
         # exactly.  (``min() > 0`` is the allocation-free spelling of
         # ``(weights > 0).all()``; weights are finite by contract.)
-        all_prone = slots > 0 and bool(weights.min() > 0.0)
+        w_min = float(weights.min()) if slots else 0.0
+        all_prone = slots > 0 and w_min > 0.0
 
         active_weight = None
         w_max = 0.0
@@ -295,11 +303,12 @@ def _init_trial(
                 active_weight, w_max = cached_sum, cached_max
                 break
         if active_weight is None:
-            # fsum: the initial active weight is the one sum every
-            # served-writes increment multiplies, so compute it exactly
-            # (a uniform 20-slot profile must sum to 1.0).
-            active_weight = math.fsum(weights)
-            w_max = float(weights.max()) if weights.size else 0.0
+            # The initial active weight is the one sum every served-writes
+            # increment multiplies, so it is exact: correctly rounded, the
+            # same bits as ``math.fsum`` (a uniform 20-slot profile must
+            # sum to 1.0).  The extremes pick the cheapest exact tier.
+            w_max = float(weights.max()) if slots else 0.0
+            active_weight = exact_sum(weights, w_min, w_max)
             if len(weight_cache) < 8:
                 weight_cache.append((weights, active_weight, w_max))
         wl_desc = wl.describe()
@@ -606,6 +615,9 @@ def _advance_trial(
     epoch_cap = min(SEQUENTIAL_EPOCH_CAP, BATCH_LIMIT - 1)
     size1_streak = 0
     sequential_rounds = 0
+    # One-death frontier rounds not yet recorded in ``sim.epoch_size``:
+    # recorded in bulk when the regime exits and when the trial ends.
+    unrecorded_singles = 0
     regime_switches = 0
     full_scans = 0
 
@@ -689,6 +701,9 @@ def _advance_trial(
                 frontier = None
                 size1_streak = 0
                 regime_switches += 1
+                if metrics is not None and unrecorded_singles:
+                    metrics.observe("sim.epoch_size", 1, count=unrecorded_singles)
+                unrecorded_singles = 0
             elif not picked[0]:
                 if deaths > 0:
                     failure_reason = _EXHAUSTED_REASON
@@ -711,8 +726,7 @@ def _advance_trial(
                 deaths += 1
                 dead_line = int(backing_row[key])
                 outcome = state.replace(trial, slot, dead_line)
-                if metrics is not None:
-                    metrics.observe("sim.epoch_size", 1)
+                unrecorded_singles += 1
                 line = None
                 if isinstance(outcome, ReplaceWith):
                     action, line = BATCH_REPLACE, int(outcome.line)
@@ -974,6 +988,8 @@ def _advance_trial(
             else:
                 size1_streak = 0
 
+    if metrics is not None and unrecorded_singles:
+        metrics.observe("sim.epoch_size", 1, count=unrecorded_singles)
     if work is not None:
         # Publish the compact rows so post-trial consumers of the full
         # arrays observe exactly the values the loop computed.

@@ -95,6 +95,20 @@ class TestRegistry:
         assert histogram is not None
         assert histogram.boundaries == DEFAULT_COUNT_BUCKETS
 
+    @pytest.mark.parametrize("value,count", [(1, 10_517), (3, 2), (0, 5), (2e6, 7)])
+    def test_bulk_observe_equals_single_observations(self, value, count):
+        bulk, single = MetricsRegistry(), MetricsRegistry()
+        for registry in (bulk, single):
+            registry.observe("sim.epoch_size", 4)
+        bulk.observe("sim.epoch_size", value, count=count)
+        for _ in range(count):
+            single.observe("sim.epoch_size", value)
+        assert bulk.snapshot() == single.snapshot()
+
+    def test_bulk_observe_rejects_non_positive_count(self):
+        with pytest.raises(ValueError, match="count"):
+            MetricsRegistry().observe("sim.epoch_size", 1, count=0)
+
     def test_snapshot_key_order_independent_of_recording_order(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("x")

@@ -149,7 +149,9 @@ class TestAccumulationAccuracy:
     map whose exact answer is an integer drifted by ~1 ulp per event
     (e.g. 200.00000000000006 for a 20x10.0 device).  The exact engine now
     compensates the sum (Kahan) and both engines seed the active weight
-    with math.fsum, so these cases are exact.
+    with the exact (correctly rounded) sum, the same bits as math.fsum
+    (constant, two-valued or bucketed tier of repro.util.exactsum), so
+    these cases are exact.
     """
 
     @pytest.mark.parametrize("engine", ["fluid-exact", "fluid-batched"])
