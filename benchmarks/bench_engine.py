@@ -73,8 +73,9 @@ WARMUP_CONFIG = ExperimentConfig(regions=64, lines_per_region=2, seed=2019)
 
 def _run(config: ExperimentConfig, scheme: str, engine: str, attack=None) -> tuple:
     """One timed simulation with a fresh scheme instance; returns
-    ``(result, seconds, phases)`` where ``phases`` is the leg's per-span
-    breakdown (``sim/init``, ``sim/kernel``) from its own registry."""
+    ``(result, seconds, phases, counters)`` where ``phases`` is the leg's
+    per-span breakdown (``sim/init``, ``sim/kernel``) and ``counters``
+    the metrics counters, both from its own registry."""
     emap = config.make_emap()
     attack = attack if attack is not None else UniformAddressAttack()
     sparing = build_sparing(scheme, config.spare_fraction, config.swr_fraction)
@@ -89,11 +90,12 @@ def _run(config: ExperimentConfig, scheme: str, engine: str, attack=None) -> tup
         record_timeline=False,
         metrics=metrics,
     )
+    snapshot = metrics.snapshot()
     phases = {
         name: round(float(timing["sum"]), 4)
-        for name, timing in metrics.snapshot()["timings"].items()
+        for name, timing in snapshot["timings"].items()
     }
-    return result, perf_counter() - start, phases
+    return result, perf_counter() - start, phases, snapshot["counters"]
 
 
 def _agree(exact, batched) -> tuple[bool, str]:
@@ -124,8 +126,10 @@ def run_bench(quick: bool = False) -> dict:
     all_identical = True
 
     for scheme in BENCH_SCHEMES:
-        exact_result, exact_seconds, exact_phases = _run(config, scheme, "fluid-exact")
-        batched_result, batched_seconds, batched_phases = _run(
+        exact_result, exact_seconds, exact_phases, _ = _run(
+            config, scheme, "fluid-exact"
+        )
+        batched_result, batched_seconds, batched_phases, _ = _run(
             config, scheme, "fluid-batched"
         )
         identical, detail = _agree(exact_result, batched_result)
@@ -187,7 +191,7 @@ def run_bench(quick: bool = False) -> dict:
     # O(slots).  The counters are deterministic in the seed, so CI can
     # gate on them even on noisy 1-CPU runners (no wall-clock involved).
     structure_config = QUICK_CONFIG if quick else BENCH_CONFIG
-    result, seconds, _ = _run(
+    result, seconds, _, counters = _run(
         structure_config, "max-we", "fluid-batched", attack=BirthdayParadoxAttack()
     )
     payload["bpa_structure"] = {
@@ -200,6 +204,9 @@ def run_bench(quick: bool = False) -> dict:
         "sequential_rounds": result.metadata.get("sequential_rounds"),
         "regime_switches": result.metadata.get("regime_switches"),
         "full_scans": result.metadata.get("full_scans"),
+        # Deaths settled inside runs of two or more one-death epochs: a
+        # metrics-only counter, absent from result metadata.
+        "run_deaths": counters.get("sim.run_deaths", 0),
     }
 
     if not quick:
@@ -208,7 +215,7 @@ def run_bench(quick: bool = False) -> dict:
             ("uaa", UniformAddressAttack()),
             ("bpa", BirthdayParadoxAttack()),
         ):
-            result, seconds, phases = _run(
+            result, seconds, phases, _ = _run(
                 FULL_SCALE_CONFIG, "max-we", "fluid-batched", attack=attack
             )
             deaths = result.deaths

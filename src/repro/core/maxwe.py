@@ -39,6 +39,7 @@ from repro.sparing.base import (
     BatchedSchemeState,
     BatchOutcome,
     FailDevice,
+    Lookahead,
     RawBatchOutcome,
     Replacement,
     ReplaceWith,
@@ -59,6 +60,14 @@ _RETIRED = 3
 
 #: Failure reason when the dynamic pool runs dry (Section 4.2).
 _POOL_EXHAUSTED = "additional spare regions exhausted (Section 4.2 failure)"
+
+
+def _swr_worn_reason(line: int) -> str:
+    """Failure reason when a strict-mode SWR replacement line dies."""
+    return (
+        f"SWR replacement line {line} worn out; region-mapped slots "
+        "have no further rescue"
+    )
 
 
 class MaxWE(SpareScheme):
@@ -271,12 +280,7 @@ class MaxWE(SpareScheme):
         # state == _SWR_REPLACED: the dedicated spare line died.
         if self._rwr_fallback:
             return self._rescue_from_pool(slot, int(self._original_line[slot]))
-        return FailDevice(
-            reason=(
-                f"SWR replacement line {dead_line} worn out; region-mapped slots "
-                "have no further rescue"
-            )
-        )
+        return FailDevice(reason=_swr_worn_reason(dead_line))
 
     def _rescue_from_pool(self, slot: int, original_line: int) -> Replacement:
         assert self._lmt is not None
@@ -328,10 +332,7 @@ class MaxWE(SpareScheme):
                 # The first strict-mode SWR death ends the device; deaths
                 # before it are still served.
                 count = int(strict[0]) + 1
-                fail_reason = (
-                    f"SWR replacement line {int(dead_lines[strict[0]])} worn out; "
-                    "region-mapped slots have no further rescue"
-                )
+                fail_reason = _swr_worn_reason(int(dead_lines[strict[0]]))
 
         rescue_mask = ~swr_mask
         rescue_mask[count:] = False
@@ -624,7 +625,9 @@ class MaxWEStackedState(BatchedSchemeState):
       replacement decision reads (the SWR failover consults only the SRA
       lookup and slot-state codes, and the LMT capacity equals the pool
       size so its overflow check cannot fire before pool exhaustion
-      truncates the batch; see :mod:`repro.core.mapping`).
+      truncates the batch; see :mod:`repro.core.mapping`), and
+      :meth:`lookahead` / :meth:`commit_lookahead` walk the same chain
+      :meth:`replace` would: the SWR hop, then the pool cursor.
 
     Every ``fluid-batched`` and ``fluid-ensemble`` run of the paper
     configuration starts from this state when paranoia guards are off:
@@ -785,10 +788,7 @@ class MaxWEStackedState(BatchedSchemeState):
             strict = np.flatnonzero(states == _SWR_REPLACED)
             if strict.size:
                 count = int(strict[0]) + 1
-                fail_reason = (
-                    f"SWR replacement line {int(dead_lines[strict[0]])} worn out; "
-                    "region-mapped slots have no further rescue"
-                )
+                fail_reason = _swr_worn_reason(int(dead_lines[strict[0]]))
 
         if fail_reason is None and count == slots.size:
             rescue_positions = np.flatnonzero(~swr_mask)
@@ -836,21 +836,62 @@ class MaxWEStackedState(BatchedSchemeState):
         state_row = self._state[trial]
         state = int(state_row[slot])
         if state == _ORIGINAL:
-            region, offset = divmod(dead_line, self._per)
-            spare_region = int(self._sra_lookup[trial, region])
-            if spare_region >= 0:
+            hop = self._swr_hop(trial, dead_line)
+            if hop >= 0:
                 state_row[slot] = _SWR_REPLACED
                 self._rwr_originals_left[trial] -= 1
-                return ReplaceWith(line=spare_region * self._per + offset)
+                return ReplaceWith(line=hop)
             return self._rescue_from_pool(trial, slot)
         if state == _LMT_REPLACED or self._rwr_fallback:
             return self._rescue_from_pool(trial, slot)
-        return FailDevice(
-            reason=(
-                f"SWR replacement line {dead_line} worn out; region-mapped slots "
-                "have no further rescue"
-            )
-        )
+        return FailDevice(reason=_swr_worn_reason(dead_line))
+
+    def lookahead(
+        self, trial: int, slot: int, dead_line: int, limit: int
+    ) -> Lookahead:
+        # The chain replace() would walk: an unreplaced RWR line's first
+        # death takes its matched SWR line, every later death the next
+        # pool line (strongest first) -- or, in strict mode, fails.
+        state = int(self._state[trial, slot])
+        head = _NO_LINES
+        if state == _ORIGINAL:
+            hop = self._swr_hop(trial, dead_line)
+            if hop >= 0:
+                head = np.array([hop], dtype=np.intp)
+                state, dead_line, limit = _SWR_REPLACED, hop, limit - 1
+        if state != _ORIGINAL and state != _LMT_REPLACED and not self._rwr_fallback:
+            return head, _swr_worn_reason(dead_line)
+        pos = int(self._pool_pos[trial])
+        lines = self._pool_lines[trial, pos : pos + limit]
+        fail = _POOL_EXHAUSTED if lines.size < limit else None
+        if head.size:
+            lines = np.concatenate((head, lines))
+        return lines, fail
+
+    def commit_lookahead(
+        self, trial: int, slot: int, dead_line: int, deaths: int
+    ) -> None:
+        # The state ``deaths`` successive replace() calls leave behind.
+        state_row = self._state[trial]
+        state = int(state_row[slot])
+        if state == _ORIGINAL and self._swr_hop(trial, dead_line) >= 0:
+            state = state_row[slot] = _SWR_REPLACED
+            self._rwr_originals_left[trial] -= 1
+            deaths -= 1
+        if not deaths or (
+            state != _ORIGINAL and state != _LMT_REPLACED and not self._rwr_fallback
+        ):
+            return  # a strict-mode failure changes no state
+        pos = int(self._pool_pos[trial])
+        rescued = min(deaths, self._pool_lines.shape[1] - pos)
+        self._pool_pos[trial] = pos + rescued
+        state_row[slot] = _LMT_REPLACED if rescued == deaths else _RETIRED
+
+    def _swr_hop(self, trial: int, dead_line: int) -> int:
+        """The matched SWR line of RWR line ``dead_line``, else -1."""
+        region, offset = divmod(dead_line, self._per)
+        spare_region = int(self._sra_lookup[trial, region])
+        return spare_region * self._per + offset if spare_region >= 0 else -1
 
     def _rescue_from_pool(self, trial: int, slot: int) -> Replacement:
         pos = int(self._pool_pos[trial])
@@ -884,3 +925,6 @@ class MaxWEStackedState(BatchedSchemeState):
 #: Shared zero-length wear array: Max-WE never extends budgets, so the
 #: engine never indexes the wear component of its raw outcomes.
 _NO_WEAR = np.empty(0, dtype=float)
+
+#: Shared zero-length line array: a lookahead without an SWR hop.
+_NO_LINES = np.empty(0, dtype=np.intp)

@@ -29,6 +29,9 @@ the epoch identical to the vectorized selection (epoch bound past the
 sentinel, batch regrown past the caller's cap, or a degenerate tie
 class larger than the work set).  Callers fall back to the full scan on
 ``None``, so the index is an accelerator, never a semantic change.
+:meth:`peek` shows the earliest indexed entry without popping it: the
+batched kernel bounds a hot slot's run of one-death epochs by it (see
+``sim/ensemble.py``).
 """
 
 from __future__ import annotations
@@ -216,6 +219,19 @@ class DeathFrontier:
                 heap = self._heap
                 continue
             return None
+
+    def peek(self) -> Optional[Tuple[float, int]]:
+        """The earliest valid indexed ``(time, slot)`` entry, left in place.
+
+        Returns ``None`` when the heap holds no valid entry; unlike
+        :meth:`pop` it never refreshes a drained work set, so the caller
+        bounds by :attr:`sentinel` instead.  Only stale entries at the top
+        are discarded, exactly as :meth:`pop_epoch` discards them.
+        """
+        heap = self._heap
+        while heap and not self._is_valid(heap[0]):
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
     def pop(self) -> Optional[Tuple[float, int]]:
         """Pop the next ``(time, slot)`` death, or ``None`` when empty.

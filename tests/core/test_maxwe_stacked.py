@@ -6,7 +6,9 @@ epochs decide through its scalar ``replace``.  That port drops the
 RMT/LMT ledgers, so it is pinned here against the real scheme: the same
 map, the same seeded sequence of deaths, and after every step the same
 verdict, the same line, the same failure string, and the same
-``replacement_extra_floor`` / ``replacement_capacity``.
+``replacement_extra_floor`` / ``replacement_capacity``.  The kernel's
+death runs read the same chain through ``lookahead`` and settle it with
+``commit_lookahead``; both are pinned against chains of ``replace``.
 """
 
 import numpy as np
@@ -95,3 +97,53 @@ def test_scalar_replace_matches_maxwe(fallback):
     else:
         assert "swr-to-pool" not in seen
         assert ("fail", "SWR", "swr") in seen
+
+
+def chain(state, slot, dead_line, deaths):
+    """Decide ``deaths`` successive deaths of ``slot`` through replace()."""
+    lines, reason = [], None
+    for _ in range(deaths):
+        outcome = state.replace(0, slot, dead_line)
+        if isinstance(outcome, FailDevice):
+            reason = outcome.reason
+            break
+        lines.append(outcome.line)
+        dead_line = outcome.line
+    return lines, reason
+
+
+@pytest.mark.parametrize("fallback", (True, False))
+def test_lookahead_commit_matches_replace_chain(fallback):
+    """A lookahead names the lines a chain of replace() calls hands out,
+    and committing ``n`` of its deaths leaves the state ``n`` replace()
+    calls leave: SWR hop, pool rescues and both failure kinds."""
+    kinds = set()
+    for seed in range(12):
+        emap = endurance_map(seed)
+        runs, steps = (
+            MaxWEStackedState([MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback)], [emap])
+            for _ in range(2)
+        )
+        backing = runs.backing(0)
+        rng = np.random.default_rng(seed)
+        hot = rng.choice(backing.size, 8, replace=False).tolist()
+        while True:
+            slot = int(rng.choice(hot))
+            dead_line = int(backing[slot])
+            was_original = runs._state[0, slot] == 0
+            lines, reason = runs.lookahead(0, slot, dead_line, int(rng.integers(1, 6)))
+            deaths = int(rng.integers(1, lines.size + (reason is not None) + 1))
+            want_lines, want_reason = chain(steps, slot, dead_line, deaths)
+            assert lines[: len(want_lines)].tolist() == want_lines
+            if want_reason is not None:
+                assert (len(want_lines), want_reason) == (lines.size, reason)
+            runs.commit_lookahead(0, slot, dead_line, deaths)
+            for name in ("_state", "_pool_pos", "_rwr_originals_left"):
+                np.testing.assert_array_equal(getattr(runs, name), getattr(steps, name))
+            if want_lines and was_original:
+                kinds.add("first-death")
+            if want_reason is not None:
+                kinds.add(want_reason.split()[0])
+                break
+            backing[slot] = want_lines[-1]
+    assert {"first-death", "SWR" if not fallback else "additional"} <= kinds

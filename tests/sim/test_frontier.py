@@ -47,6 +47,26 @@ class TestOrderAndStaleness:
         times[0] = math.inf
         assert frontier.pop() == (5.0, 1)
 
+    def test_peek_skips_stale_entries_and_pops_nothing(self):
+        times = np.array([1.0, 2.0, 3.0])
+        frontier = DeathFrontier(times)
+        times[0] = math.inf  # slot 0's entry goes stale
+        assert frontier.peek() == (2.0, 1)
+        assert frontier.peek() == (2.0, 1)
+        assert frontier.pop() == (2.0, 1)
+        times[1] = times[2] = math.inf
+        assert frontier.peek() is None
+
+    def test_peek_never_refreshes_a_drained_work_set(self):
+        times = np.array([1.0, 2.0, 3.0, 4.0])
+        frontier = DeathFrontier(times, limit=1)
+        assert frontier.sentinel == 2.0
+        assert frontier.pop() == (1.0, 0)
+        times[0] = math.inf
+        # Slots 1-3 sit at or above the sentinel, outside the work set.
+        assert frontier.peek() is None
+        assert frontier.refreshes == 0
+
     def test_stale_entry_invalidated_by_array_mutation(self):
         times = np.array([1.0, 2.0, 3.0])
         frontier = DeathFrontier(times)
