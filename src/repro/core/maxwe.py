@@ -763,9 +763,6 @@ class MaxWEStackedState(BatchedSchemeState):
         working = self._working[trial]
         return (working[:, None] * self._per + self._offsets).reshape(-1)
 
-    def slots(self, trial: int) -> int:
-        return int(self._state.shape[1])
-
     def min_user_slots(self, trial: int) -> int:
         # Max-WE never retires slots; every working line stays addressable.
         return int(self._state.shape[1])

@@ -87,7 +87,7 @@ from repro.wearlevel.none import NoWearLeveling
 #: The engine name this module implements.
 ENGINE_NAME = "fluid-ensemble"
 
-#: Shared empty index array for the no-removal fast path.
+#: Shared empty index array: no removals, or no death left to select.
 _EMPTY_POSITIONS = np.empty(0, dtype=np.intp)
 
 
@@ -108,79 +108,73 @@ class EnsembleMember:
     rng: RandomState = None
 
 
-def _fast_epoch(
+def _select_epoch(
     row: np.ndarray,
-    floor: float,
+    floor: Optional[float],
     w_max: float,
     sentinel: float = math.inf,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Select one epoch assuming every entry of ``row`` is finite and prone.
+    """Select the next chronologically safe epoch of deaths from ``row``.
 
-    Equivalent to the scan selection of :func:`_advance_trial` --
-    argpartition of the ``BATCH_LIMIT`` nearest deaths, trim to a
-    complete time-prefix, sort by ``(time, slot)``, cut at the
-    chronologically safe bound -- but driven by death-time *values*:
+    The epoch is driven by death-time *values*, so it never depends on
+    how a partition breaks ties:
 
-    * With ``c`` = the number of times strictly below the safety bound,
-      ``c < BATCH_LIMIT`` implies the bound is at or below the selection's
-      max time, so the epoch is exactly ``{time < bound}`` and the
-      partition is skipped entirely (the common case: epochs are much
-      smaller than ``BATCH_LIMIT``).
-    * Otherwise the ``BATCH_LIMIT``-th smallest value caps the epoch just
-      as the scan's trim does, with the same full-tie-class fallback.
+    * The chronological bound is ``t_min + floor / w_max`` (``t_min`` for
+      an unknown floor, infinite for a scheme that never replaces); the
+      epoch is every death strictly below it, or -- when that is empty
+      (floor zero or unknown) -- the earliest death alone, ties broken by
+      slot id.
+    * At most ``BATCH_LIMIT`` deaths form an epoch.  When the bound holds
+      at least that many and more than ``BATCH_LIMIT`` deaths are finite,
+      the ``BATCH_LIMIT``-th smallest time caps the epoch: every death
+      strictly below it, or the full tie class when all of them tie.  The
+      common case (epochs much smaller than ``BATCH_LIMIT``) skips the
+      partition entirely.
+    * Infinite times (removed or non-prone slots) are never selected; a
+      row without a finite time gives an empty epoch.
 
-    Epoch content only ever depends on time values (the trim makes it
-    independent of argpartition tie-breaking), so this selection is
-    bit-identical.  Returns ``(positions, times)`` into ``row`` sorted by
+    Returns ``(positions, times)`` into ``row`` sorted by
     ``(time, position)``.
 
     ``row`` may be a compact work row (see :func:`_advance_trial`): the
-    death times of an ascending slot subset guaranteed to hold the
-    smallest ones, every excluded time being ``>= sentinel``.  Selection
-    criteria are strict ``<`` comparisons against bounds verified to sit
-    at or below the sentinel, so the subset sees exactly the full row's
-    epoch; when that verification fails (bound above the sentinel, or a
-    tie class touching it) the function returns ``None`` and the caller
-    re-runs the selection on the full row, where the sentinel is
-    infinite and the verification cannot fail.
+    finite death times of an ascending subset of more than
+    ``BATCH_LIMIT`` slots guaranteed to hold the smallest ones, every
+    excluded time being ``>= sentinel``.  Selection criteria are strict
+    ``<`` comparisons against bounds verified to sit at or below the
+    sentinel, so the subset sees exactly the full row's epoch; when that
+    verification fails (bound above the sentinel, or a tie class
+    touching it) the function returns ``None`` and the caller re-runs
+    the selection on the full row, where the sentinel is infinite and
+    the verification cannot fail.
     """
     from repro.sim.lifetime import BATCH_LIMIT
 
-    over = row.size > BATCH_LIMIT
-    if math.isinf(floor):
-        if not over:
-            pos = np.arange(row.size, dtype=np.intp)
-        else:
-            t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
+    t_min = float(row.min()) if row.size else math.inf
+    if not t_min < sentinel:
+        return (_EMPTY_POSITIONS, row[:0]) if math.isinf(sentinel) else None
+    bound = t_min if floor is None else t_min + floor / w_max
+    if sentinel < bound < math.inf:
+        return None
+    # An infinite bound admits every finite death, so on a long row the
+    # partition alone tells whether the cap applies.
+    pos = np.flatnonzero(row < bound) if bound < math.inf else None
+    if row.size > BATCH_LIMIT and (pos is None or pos.size >= BATCH_LIMIT):
+        part = np.partition(row, BATCH_LIMIT)
+        if part[BATCH_LIMIT] < math.inf:
+            t_max = float(part[:BATCH_LIMIT].max())
             if not t_max < sentinel:
                 return None
             pos = np.flatnonzero(row < t_max)
             if not pos.size:
                 pos = np.flatnonzero(row == t_max)
-    else:
-        t_min = float(row.min())
-        bound = t_min + floor / w_max
-        if not bound <= sentinel:
-            return None
+    if pos is None:
         pos = np.flatnonzero(row < bound)
-        if over and pos.size >= BATCH_LIMIT:
-            t_max = np.partition(row, BATCH_LIMIT - 1)[BATCH_LIMIT - 1]
-            if not t_max < sentinel:
-                return None
-            pos = np.flatnonzero(row < t_max)
-            if not pos.size:
-                pos = np.flatnonzero(row == t_max)
-        elif not pos.size:
-            # Degenerate floor == 0.0: the scan's prefix clamp
-            # (max(prefix, 1)) keeps exactly the earliest death, ties
-            # broken by slot id.
-            if not t_min < sentinel:
-                return None
-            pos = np.flatnonzero(row == t_min)[:1]
+    elif not pos.size:
+        pos = np.flatnonzero(row == t_min)[:1]
     times = row[pos]
-    # flatnonzero/arange yield ascending positions, so a stable time sort
-    # equals the scan's lexsort((sel, times)).  Ties are common
-    # (region-mates share an endurance), so sort stably outright.
+    # flatnonzero yields ascending positions, so a stable time sort
+    # orders by (time, position).  Ties are common (region-mates share
+    # an endurance), so sort stably outright.
     order = np.argsort(times, kind="stable")
     return pos[order], times[order]
 
@@ -562,12 +556,11 @@ def _advance_trial(
     The selection strategy follows from what the loop can observe, never
     from an option; every strategy selects exactly the same epochs:
 
-    * **value partition** (:func:`_fast_epoch`) when the scheme never
-      removes slots and every slot is wear-prone, so every death time
-      stays finite, and no guard or corruptor inspects or mutates the
-      full arrays -- on **compact work rows** when the replacement
-      capacity is known;
-    * the **argpartition / safe-prefix scan** otherwise;
+    * the **value partition** (:func:`_select_epoch`) over the full
+      arrays, or over **compact work rows** when the scheme never removes
+      slots, every slot is wear-prone (so every death time stays finite),
+      no guard or corruptor inspects or mutates the full arrays, and the
+      replacement capacity is known;
     * the **death-frontier** sequential regime after
       :data:`~repro.sim.lifetime.SEQUENTIAL_ENTER_STREAK` consecutive
       one-death epochs, handing back to the vectorized selection the
@@ -625,14 +618,12 @@ def _advance_trial(
     regime_switches = 0
     full_scans = 0
 
-    # The value-partition selection needs every death time finite for the
-    # trial's whole life: no removals (scheme promise), every slot
-    # wear-prone, and nobody reading or corrupting the full arrays.  It
-    # also bounds epochs by the floor, so an unknown floor (one death per
-    # epoch) takes the scan.
-    fast = (
+    # Compact work rows and the skipped removal scan need every death time
+    # finite for the trial's whole life: no removals (scheme promise),
+    # every slot wear-prone, and nobody reading or corrupting the full
+    # arrays.
+    finite_rows = (
         state.never_removes
-        and floor is not None
         and sequential_ok
         and backing.size > 0
         and bool(weights.min() > 0.0)
@@ -654,7 +645,7 @@ def _advance_trial(
     death_row, backing_row, weight_row = current_death, backing, weights
     work: Optional[np.ndarray] = None
     work_sentinel = math.inf
-    capacity = state.replacement_capacity(trial) if fast else None
+    capacity = state.replacement_capacity(trial) if finite_rows else None
     if capacity is not None:
         limit = int(capacity) + BATCH_LIMIT + 1
         if limit < current_death.size:
@@ -862,61 +853,20 @@ def _advance_trial(
                 times = np.asarray(picked[1], dtype=float)
         if keys is None:
             full_scans += 1
-            if fast:
-                found = _fast_epoch(death_row, floor, w_max_active, work_sentinel)
-                if found is None:
-                    # Guarantee slipped: full rows from here on.
-                    current_death[work] = death_row
-                    backing[work] = backing_row
-                    death_row, backing_row, weight_row = current_death, backing, weights
-                    work = None
-                    work_sentinel = math.inf
-                    found = _fast_epoch(current_death, floor, w_max_active)
-                keys, times = found
-            else:
-                candidates = np.flatnonzero(np.isfinite(current_death))
-                if candidates.size == 0:
-                    if deaths > 0:
-                        failure_reason = _EXHAUSTED_REASON
-                    break
-                # Next BATCH_LIMIT deaths, in exact heap order (time, slot).
-                if candidates.size > BATCH_LIMIT:
-                    nearest = np.argpartition(
-                        current_death[candidates], BATCH_LIMIT - 1
-                    )[:BATCH_LIMIT]
-                    keys = candidates[nearest]
-                    times = current_death[keys]
-                    # argpartition breaks time ties arbitrarily at the cut,
-                    # so trim to a *complete* time-prefix: everything
-                    # strictly before the selection's max time, or -- when
-                    # the whole selection ties -- the full tie class.
-                    t_max = times.max()
-                    strictly_before = times < t_max
-                    if strictly_before.any():
-                        keys = keys[strictly_before]
-                        times = times[strictly_before]
-                    else:
-                        keys = candidates[current_death[candidates] == t_max]
-                        times = current_death[keys]
-                else:
-                    keys = candidates
-                    times = current_death[keys]
-                order = np.lexsort((keys, times))
-                keys = keys[order]
-                times = times[order]
-                # Chronologically safe prefix: no replacement made inside
-                # the window can schedule its next death back into it.
-                if floor is None:
-                    prefix = 1
-                elif math.isinf(floor):
-                    prefix = keys.size
-                else:
-                    bound = times[0] + floor / w_max_active
-                    prefix = max(
-                        int(np.searchsorted(times, bound, side="left")), 1
-                    )
-                keys = keys[:prefix]
-                times = times[:prefix]
+            found = _select_epoch(death_row, floor, w_max_active, work_sentinel)
+            if found is None:
+                # Guarantee slipped: full rows from here on.
+                current_death[work] = death_row
+                backing[work] = backing_row
+                death_row, backing_row, weight_row = current_death, backing, weights
+                work = None
+                work_sentinel = math.inf
+                found = _select_epoch(current_death, floor, w_max_active)
+            keys, times = found
+            if not keys.size:
+                if deaths > 0:
+                    failure_reason = _EXHAUSTED_REASON
+                break
         epochs += 1
 
         sel = keys if work is None else work[keys]
@@ -929,8 +879,8 @@ def _advance_trial(
         # Capacity-degradation failure truncates like the scalar loop: the
         # first removal dropping live slots below the floor is still
         # counted, everything after it never happens.  never_removes
-        # schemes cannot emit BATCH_REMOVE, so the fast path skips the scan.
-        if fast:
+        # schemes cannot emit BATCH_REMOVE, so finite rows skip the scan.
+        if finite_rows:
             removal_positions = _EMPTY_POSITIONS
         else:
             removal_positions = np.flatnonzero(actions == BATCH_REMOVE)

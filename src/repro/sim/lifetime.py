@@ -53,11 +53,10 @@ The kernel picks how it *selects* each epoch from what it can observe
 of the run -- never from an option -- and every strategy selects the
 same epochs (``docs/fluid_engine.md``, "Kernel regimes"):
 
-* a value partition over compact work rows when the scheme never
+* a value partition, over compact work rows when the scheme never
   removes slots, every slot is wear-prone, the replacement capacity is
-  known, and no guard or corruptor is active (the full-row value
-  partition when the capacity is unknown);
-* the argpartition / safe-prefix scan otherwise;
+  known, and no guard or corruptor is active, and over the full arrays
+  otherwise;
 * after ``SEQUENTIAL_ENTER_STREAK`` consecutive one-death epochs (the
   BPA signature), a :class:`~repro.sim.frontier.DeathFrontier` -- a
   lazy-deletion heap over the death times in exact ``(time, slot)``
@@ -70,7 +69,7 @@ same epochs (``docs/fluid_engine.md``, "Kernel regimes"):
 Result metadata counts the bookkeeping: ``epochs`` (passes that
 processed deaths), ``sequential_rounds`` (frontier-served passes),
 ``regime_switches`` (transitions either way), and ``full_scans``
-(vectorized selection passes); the same names land in the metrics
+(value-partition passes); the same names land in the metrics
 registry as ``sim.*`` counters next to a ``sim.epoch_size`` histogram.
 ``fluid-exact`` routes its heap through the same index, so its
 compaction rebuilds stopped rescanning the device (``heap_compactions``

@@ -686,13 +686,6 @@ def _picklable(tasks: Sequence[AnyTask]) -> bool:
         return False
 
 
-# Historical names, kept for callers/tests written against PR 3-7: the
-# supervision state and summary now live in :mod:`repro.sim.executor` so
-# backends outside this module can share them.
-_Supervised = SupervisedTask
-_ExecutionSummary = ExecutionSummary
-
-
 def _terminate_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """Shut a pool down without leaving dangling worker processes.
 
@@ -1215,7 +1208,7 @@ class SimRunner:
             float(task.shadow_sample),
         )
 
-    def _chunk_ensembles(self, pending: List[_Supervised]) -> List[_Supervised]:
+    def _chunk_ensembles(self, pending: List[SupervisedTask]) -> List[SupervisedTask]:
         """Fold consecutive ensemble-engine tasks into chunk states.
 
         Chunks hold ``trials_per_task`` members each; with the knob unset
@@ -1225,8 +1218,8 @@ class SimRunner:
         Checkpoint- and cache-served members never reach this point, so a
         resumed run re-chunks only the remaining members.
         """
-        chunked: List[_Supervised] = []
-        run: List[_Supervised] = []
+        chunked: List[SupervisedTask] = []
+        run: List[SupervisedTask] = []
         run_group: Optional[Tuple[object, ...]] = None
 
         def flush() -> None:
@@ -1257,7 +1250,7 @@ class SimRunner:
                     ("ensemble:" + "\n".join(state.key for state in group)).encode()
                 ).hexdigest()
                 chunked.append(
-                    _Supervised(
+                    SupervisedTask(
                         index=group[0].index,
                         task=chunk,
                         key=digest,
@@ -1326,7 +1319,7 @@ class SimRunner:
         cache_hits = 0
         checkpoint_hits = 0
 
-        pending: List[_Supervised] = []
+        pending: List[SupervisedTask] = []
         with metrics.span("runner/scan"):
             for index, task in enumerate(tasks):
                 key, label = task_identity(task)
@@ -1355,7 +1348,7 @@ class SimRunner:
                         self._on_result(index, cached, 0.0)
                     continue
                 pending.append(
-                    _Supervised(index=index, task=task, key=key, label=label)
+                    SupervisedTask(index=index, task=task, key=key, label=label)
                 )
             pending = self._chunk_ensembles(pending)
         simulated = sum(
@@ -1363,7 +1356,9 @@ class SimRunner:
             for state in pending
         )
 
-        def complete_one(state: _Supervised, result: SimulationResult, elapsed: float) -> None:
+        def complete_one(
+            state: SupervisedTask, result: SimulationResult, elapsed: float
+        ) -> None:
             results[state.index] = result
             seconds[state.index] = elapsed
             task = tasks[state.index]
@@ -1374,7 +1369,7 @@ class SimRunner:
             if self._on_result is not None:
                 self._on_result(state.index, result, elapsed)
 
-        def on_complete(state: _Supervised, result, elapsed: float) -> None:
+        def on_complete(state: SupervisedTask, result, elapsed: float) -> None:
             if state.members is None:
                 complete_one(state, result, elapsed)
                 return
@@ -1386,7 +1381,7 @@ class SimRunner:
             for member_state, member_result in zip(state.members, result):
                 complete_one(member_state, member_result, share)
 
-        summary = _ExecutionSummary()
+        summary = ExecutionSummary()
         jobs_used = 1
         previous_sigterm = self._install_sigterm_handler()
         try:
@@ -1506,79 +1501,3 @@ class SimRunner:
             signal.signal(signal.SIGTERM, previous)
         except (ValueError, OSError):
             pass
-
-    # ------------------------------------------------------------------
-    # Supervised execution
-    # ------------------------------------------------------------------
-
-    def _handle_attempt_failure(
-        self,
-        state: _Supervised,
-        error: BaseException,
-        kind: str,
-        ready: "deque[_Supervised]",
-        summary: _ExecutionSummary,
-        events: EventLog,
-    ) -> None:
-        """Delegates to the shared :func:`handle_attempt_failure` arbiter."""
-        handle_attempt_failure(
-            self._policy, state, error, kind, ready, summary, events
-        )
-
-    def _mark_skipped(
-        self,
-        ready: "deque[_Supervised]",
-        summary: _ExecutionSummary,
-        kind: str = "skipped",
-    ) -> None:
-        mark_skipped(ready, summary, kind)
-
-    def _run_supervised_serial(
-        self,
-        pending: Sequence[_Supervised],
-        events: EventLog,
-        on_complete: Callable[[_Supervised, SimulationResult, float], None],
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> _ExecutionSummary:
-        """Historical entry point; see :meth:`ProcessPoolBackend.run_serial`."""
-        return ProcessPoolBackend().run_serial(
-            pending, self._policy, events, on_complete, metrics
-        )
-
-    def _run_supervised_parallel(
-        self,
-        pending: Sequence[_Supervised],
-        jobs: int,
-        events: EventLog,
-        on_complete: Callable[[_Supervised, SimulationResult, float], None],
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> _ExecutionSummary:
-        """Historical entry point; see :meth:`ProcessPoolBackend.run_parallel`."""
-        return ProcessPoolBackend().run_parallel(
-            pending, jobs, self._policy, events, on_complete, metrics
-        )
-
-    # Backwards-compatible alias used by older callers/tests: the plain
-    # unsupervised fan-out is simply the supervised one with the default
-    # policy, so route through it.
-    def _run_parallel(
-        self, tasks: Sequence[AnyTask], jobs: int
-    ) -> List[Tuple[SimulationResult, float]]:
-        outcomes: Dict[int, Tuple[SimulationResult, float]] = {}
-        states = [
-            _Supervised(index=index, task=task, key=task_identity(task)[0],
-                        label=getattr(task, "label", ""))
-            for index, task in enumerate(tasks)
-        ]
-
-        def collect(state: _Supervised, result: SimulationResult, elapsed: float) -> None:
-            outcomes[state.index] = (result, elapsed)
-
-        summary = self._run_supervised_parallel(states, jobs, EventLog(), collect)
-        if summary.interrupted:
-            raise KeyboardInterrupt("simulation run interrupted")
-        if summary.failures:
-            raise SimulationFailure(
-                tuple(summary.failures[index] for index in sorted(summary.failures))
-            )
-        return [outcomes[index] for index in range(len(states))]

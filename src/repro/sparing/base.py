@@ -494,10 +494,6 @@ class BatchedSchemeState(ABC):
         """Fresh copy of trial ``trial``'s initial slot-to-line map."""
 
     @abstractmethod
-    def slots(self, trial: int) -> int:
-        """Slot count of trial ``trial``."""
-
-    @abstractmethod
     def min_user_slots(self, trial: int) -> int:
         """Minimum serviceable slot count of trial ``trial``."""
 
@@ -578,9 +574,6 @@ class FallbackSchemeState(BatchedSchemeState):
 
     def backing(self, trial: int) -> np.ndarray:
         return self._schemes[trial].initial_backing
-
-    def slots(self, trial: int) -> int:
-        return self._schemes[trial].slots
 
     def min_user_slots(self, trial: int) -> int:
         return self._schemes[trial].min_user_slots
