@@ -215,7 +215,7 @@ def run_bench(quick: bool = False) -> dict:
             ("uaa", UniformAddressAttack()),
             ("bpa", BirthdayParadoxAttack()),
         ):
-            result, seconds, phases, _ = _run(
+            result, seconds, phases, counters = _run(
                 FULL_SCALE_CONFIG, "max-we", "fluid-batched", attack=attack
             )
             deaths = result.deaths
@@ -239,6 +239,10 @@ def run_bench(quick: bool = False) -> dict:
                 "sequential_rounds": result.metadata.get("sequential_rounds"),
                 "regime_switches": result.metadata.get("regime_switches"),
                 "full_scans": result.metadata.get("full_scans"),
+                # Selections that fell back from the compact work rows to
+                # the full arrays: a metrics-only counter, absent from
+                # result metadata.
+                "compact_exits": counters.get("sim.compact_exits", 0),
                 "failure_reason": result.failure_reason,
             }
         payload["full_scale"] = {

@@ -57,6 +57,14 @@ def _engine_rows(payload: dict) -> Iterator[dict]:
             yield _row("engine", f"full_scale_{name}_per_death",
                        run["ms_per_death"], "ms/death",
                        f"{run.get('epochs_per_death')} epochs/death")
+        if run.get("full_scans") is not None:
+            yield _row("engine", f"full_scale_{name}_full_scans",
+                       run["full_scans"], "selections",
+                       f"{run.get('epochs')} epochs")
+        if run.get("compact_exits") is not None:
+            yield _row("engine", f"full_scale_{name}_compact_exits",
+                       run["compact_exits"], "exits",
+                       "compact work rows left for the full arrays")
     structure = payload.get("bpa_structure") or {}
     if structure.get("sequential_rounds") is not None:
         yield _row("engine", "bpa_sequential_rounds",

@@ -678,42 +678,9 @@ class MaxWEStackedState(BatchedSchemeState):
         self._swr_line_floor = np.full(trials, math.inf)
         working_mask = np.empty(regions, dtype=bool)
 
-        region_buf = np.empty(regions)
         for t in range(trials):
             line_endurance = emaps[t].line_endurance
-            grid = line_endurance.reshape(regions, per)
-            # min/max reduce column by column: elementwise min/max is
-            # exact (no rounding), so this equals ``grid.min(axis=1)``
-            # bit for bit while avoiding numpy's slow short-inner-axis
-            # reduction.  ``mean`` keeps the axis reduction -- its
-            # summation order is part of the solo result.
-            if metric == "min" or metric == "max":
-                op = np.minimum if metric == "min" else np.maximum
-                # Tree-reduce the columns pairwise: each level halves the
-                # number of strided passes over the grid, and min/max is
-                # associative without rounding so any tree shape matches.
-                level = [grid[:, column] for column in range(per)]
-                owned = False  # first level holds read-only column views
-                while len(level) > 1:
-                    merged = []
-                    for pair in range(0, len(level) - 1, 2):
-                        if owned:
-                            merged.append(
-                                op(level[pair], level[pair + 1], out=level[pair])
-                            )
-                        else:
-                            merged.append(op(level[pair], level[pair + 1]))
-                    if len(level) % 2:
-                        merged.append(level[-1])
-                    level = merged
-                    # Merged entries are fresh arrays (odd tails stay in
-                    # the tail slot and are only ever read), so in-place
-                    # reuse is safe from here on.
-                    owned = True
-                region_endurance = region_buf
-                region_endurance[:] = level[0]
-            else:
-                region_endurance = grid.mean(axis=1)
+            region_endurance = emaps[t].region_endurance(metric)
             # EnduranceMap.rank_regions prefix: stable, ties by region id.
             prefix = _stable_rank_prefix(region_endurance, need)
             swr = prefix[:swr_count]

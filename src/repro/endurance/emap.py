@@ -108,13 +108,17 @@ class EnduranceMap:
         ``"min"`` (a region is only as strong as its weakest line --
         the conservative default), ``"mean"``, or ``"max"``.
         """
-        grid = self.line_endurance.reshape(self.regions, self.lines_per_region)
-        if metric == "min":
-            return grid.min(axis=1)
+        lines = self.line_endurance
+        if metric == "min" or metric == "max":
+            # One linear pass over the region starts.  Elementwise min/max
+            # never rounds, so this equals ``grid.min/max(axis=1)`` bit for
+            # bit, and is faster than that axis reduction at every
+            # measured shape.
+            op = np.minimum if metric == "min" else np.maximum
+            return op.reduceat(lines, np.arange(0, lines.size, self.lines_per_region))
         if metric == "mean":
-            return grid.mean(axis=1)
-        if metric == "max":
-            return grid.max(axis=1)
+            # The axis reduction's summation order is part of the result.
+            return lines.reshape(self.regions, self.lines_per_region).mean(axis=1)
         raise ValueError(f"unknown region endurance metric {metric!r}")
 
     def rank_regions(self, metric: str = "min") -> np.ndarray:

@@ -140,12 +140,21 @@ def _select_epoch(
     finite death times of an ascending subset of more than
     ``BATCH_LIMIT`` slots guaranteed to hold the smallest ones, every
     excluded time being ``>= sentinel``.  Selection criteria are strict
-    ``<`` comparisons against bounds verified to sit at or below the
-    sentinel, so the subset sees exactly the full row's epoch; when that
-    verification fails (bound above the sentinel, or a tie class
-    touching it) the function returns ``None`` and the caller re-runs
-    the selection on the full row, where the sentinel is infinite and
-    the verification cannot fail.
+    ``<`` comparisons, so the subset sees exactly the full row's epoch
+    unless that epoch may involve an excluded slot.  Only then does the
+    function return ``None`` (the caller re-runs the selection on the
+    full row, where the sentinel is infinite and nothing declines):
+
+    * ``t_min`` reaches the sentinel: an excluded slot may tie first;
+    * the epoch is capped and ``t_max`` reaches the sentinel: excluded
+      slots may be among the ``BATCH_LIMIT`` smallest;
+    * the epoch is uncapped and a finite bound lies above the sentinel:
+      excluded slots may die below the bound, and may even tip the full
+      row into the cap.
+
+    A capped epoch with ``t_max`` below the sentinel is served whatever
+    the bound: the ``BATCH_LIMIT`` smallest times all lie in the subset,
+    and the epoch reads nothing else.
     """
     from repro.sim.lifetime import BATCH_LIMIT
 
@@ -153,24 +162,30 @@ def _select_epoch(
     if not t_min < sentinel:
         return (_EMPTY_POSITIONS, row[:0]) if math.isinf(sentinel) else None
     bound = t_min if floor is None else t_min + floor / w_max
-    if sentinel < bound < math.inf:
-        return None
     # An infinite bound admits every finite death, so on a long row the
     # partition alone tells whether the cap applies.
-    pos = np.flatnonzero(row < bound) if bound < math.inf else None
-    if row.size > BATCH_LIMIT and (pos is None or pos.size >= BATCH_LIMIT):
+    below = row < bound if bound < math.inf else None
+    capped = row.size > BATCH_LIMIT and (
+        below is None or np.count_nonzero(below) >= BATCH_LIMIT
+    )
+    if capped:
         part = np.partition(row, BATCH_LIMIT)
-        if part[BATCH_LIMIT] < math.inf:
-            t_max = float(part[:BATCH_LIMIT].max())
-            if not t_max < sentinel:
-                return None
-            pos = np.flatnonzero(row < t_max)
-            if not pos.size:
-                pos = np.flatnonzero(row == t_max)
-    if pos is None:
+        capped = part[BATCH_LIMIT] < math.inf
+    if capped:
+        t_max = float(part[:BATCH_LIMIT].max())
+        if not t_max < sentinel:
+            return None
+        pos = np.flatnonzero(row < t_max)
+        if not pos.size:
+            pos = np.flatnonzero(row == t_max)
+    elif below is None:
         pos = np.flatnonzero(row < bound)
-    elif not pos.size:
-        pos = np.flatnonzero(row == t_min)[:1]
+    elif sentinel < bound:
+        return None
+    else:
+        pos = np.flatnonzero(below)
+        if not pos.size:
+            pos = np.flatnonzero(row == t_min)[:1]
     times = row[pos]
     # flatnonzero yields ascending positions, so a stable time sort
     # orders by (time, position).  Ties are common (region-mates share
@@ -855,7 +870,11 @@ def _advance_trial(
             full_scans += 1
             found = _select_epoch(death_row, floor, w_max_active, work_sentinel)
             if found is None:
-                # Guarantee slipped: full rows from here on.
+                # Guarantee slipped: full rows from here on.  Counted in
+                # the registry only (``sim.compact_exits``), so result
+                # bodies stay byte-identical.
+                if metrics is not None:
+                    metrics.inc("sim.compact_exits")
                 current_death[work] = death_row
                 backing[work] = backing_row
                 death_row, backing_row, weight_row = current_death, backing, weights

@@ -9,6 +9,9 @@ verdict, the same line, the same failure string, and the same
 ``replacement_extra_floor`` / ``replacement_capacity``.  The kernel's
 death runs read the same chain through ``lookahead`` and settle it with
 ``commit_lookahead``; both are pinned against chains of ``replace``.
+The allocation plan itself is pinned at the paper-scale width of 64
+lines per region, where both sides reduce regions through
+:meth:`EnduranceMap.region_endurance`.
 """
 
 import numpy as np
@@ -147,3 +150,33 @@ def test_lookahead_commit_matches_replace_chain(fallback):
                 break
             backing[slot] = want_lines[-1]
     assert {"first-death", "SWR" if not fallback else "additional"} <= kinds
+
+
+@pytest.mark.parametrize("metric", ("min", "max", "mean"))
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_plan_matches_maxwe_at_64_lines_per_region(metric, seed):
+    """The stacked plan equals ``MaxWE.initialize``'s on a map with 64
+    lines per region and many tied regions: the same backing, SWR/RWR
+    pairing, working set, pool order and floors."""
+    regions, per = 48, 64
+    rng = np.random.default_rng(seed)
+    # A few region levels and a few line multipliers: most regions tie
+    # with others on their min and max, and break ties by region id.
+    base = rng.choice([100.0, 200.0, 300.0], size=regions)
+    values = np.repeat(base, per) * rng.choice([1.0, 1.5, 2.0], size=regions * per)
+    emap = EnduranceMap(values, regions=regions)
+    reference = MaxWE(0.25, 0.5, region_metric=metric)
+    reference.initialize(emap, rng=seed)
+    stacked = MaxWEStackedState([MaxWE(0.25, 0.5, region_metric=metric)], [emap])
+
+    plan = reference.plan
+    np.testing.assert_array_equal(stacked.backing(0), reference.initial_backing)
+    paired = np.flatnonzero(stacked._sra_lookup[0] >= 0)
+    np.testing.assert_array_equal(paired, np.sort(plan.rwr_regions))
+    np.testing.assert_array_equal(stacked._sra_lookup[0, plan.rwr_regions], plan.swr_regions)
+    np.testing.assert_array_equal(stacked._working[0], plan.working_regions)
+    np.testing.assert_array_equal(stacked._pool_lines[0], reference._pool_lines)
+    np.testing.assert_array_equal(stacked._pool_floor[0], reference._pool_floor)
+    swr_lines = (plan.swr_regions[:, None] * per + np.arange(per)).ravel()
+    assert stacked._swr_line_floor[0] == emap.line_endurance[swr_lines].min()
+    assert stacked.replacement_extra_floor(0) == reference.replacement_extra_floor()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.endurance.emap import EnduranceMap
@@ -77,6 +77,35 @@ class TestRegionViews:
         assert emap.region_endurance("min")[0] == 1.0
         assert emap.region_endurance("max")[0] == 5.0
         assert emap.region_endurance("mean")[0] == 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        regions=st.integers(1, 12),
+        lines_per_region=st.one_of(st.sampled_from([1, 2, 3, 7, 8, 64]), st.integers(1, 17)),
+        data=st.data(),
+    )
+    def test_region_min_max_equal_the_axis_reduction(self, regions, lines_per_region, data):
+        """``min``/``max`` reduce over the region starts; they must equal
+        the 2-D axis reduction bit for bit, ties and widths of one
+        included."""
+        # Few distinct values (heavy ties) or arbitrary positive floats.
+        element = data.draw(
+            st.sampled_from(
+                [
+                    st.sampled_from([1.0, 2.0, 2.5]),
+                    st.floats(min_value=1e-300, max_value=1e300),
+                    st.floats(min_value=1.0, allow_nan=False),
+                ]
+            )
+        )
+        lines = regions * lines_per_region
+        values = data.draw(st.lists(element, min_size=lines, max_size=lines))
+        emap = EnduranceMap(np.array(values), regions=regions)
+        grid = emap.line_endurance.reshape(regions, lines_per_region)
+        for metric, want in (("min", grid.min(axis=1)), ("max", grid.max(axis=1))):
+            got = emap.region_endurance(metric)
+            assert got.dtype == want.dtype and got.shape == (regions,)
+            assert got.tobytes() == want.tobytes()
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):

@@ -8,6 +8,11 @@ These pin the engine's physics across randomized devices and schemes:
   lifetime; a uniformly stronger chip never lives shorter;
 * dominance -- Max-WE is never worse than no protection;
 * determinism -- equal seeds give identical runs.
+
+Sparing only pays when the spare pool outlasts the lines it shields, so
+the monotonicity and dominance properties are filtered on UAA lifetime
+bounds read off Max-WE's allocation plan (:func:`maxwe_uaa_floor`,
+:func:`uaa_ceiling`) rather than on a summary of the endurance spread.
 """
 
 import numpy as np
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.attacks.bpa import BirthdayParadoxAttack
 from repro.attacks.uaa import UniformAddressAttack
+from repro.core.allocation import plan_allocation
 from repro.core.maxwe import MaxWE
 from repro.endurance.emap import EnduranceMap
 from repro.sim.lifetime import simulate_lifetime
@@ -37,6 +43,65 @@ def random_maps(draw):
         )
     )
     return EnduranceMap(np.array(values), regions=regions)
+
+
+def _lines_of(emap, regions):
+    """Endurances of every line in ``regions``, region by region."""
+    if len(regions) == 0:
+        return np.empty(0)
+    return np.concatenate([emap.region_lines(int(region)) for region in regions])
+
+
+def uaa_ceiling(working, spare_lines):
+    """Most user writes any scheme can serve under UAA.
+
+    UAA gives each of the ``working.size`` slots the same share ``x`` of
+    the writes.  A slot whose original line dies needs a spare line of its
+    own, so once ``spare_lines + 1`` originals are dead some death goes
+    unserved: the device is gone by the time ``x`` reaches the
+    ``(spare_lines + 1)``-th weakest working line.
+    """
+    if spare_lines >= working.size:
+        return np.inf
+    return working.size * np.partition(working, spare_lines)[spare_lines]
+
+
+def maxwe_uaa_floor(emap, spare_fraction):
+    """User writes Max-WE is guaranteed to serve under UAA.
+
+    Read off the allocation plan, with every slot written at the same
+    rate ``x``.  While ``x`` stays below all three limits below, no SWR
+    line and no pool line dies, and every original death finds a rescuer:
+
+    * an RWR slot fails over to its SWR partner, which holds out until
+      ``x`` reaches the pair's combined endurance;
+    * the other working slots draw on the pool, which covers the first
+      ``pool.size`` of their deaths;
+    * a pool line lives at least until ``x`` reaches the weakest such
+      slot's endurance plus the weakest pool line.
+    """
+    plan = plan_allocation(emap, spare_fraction)
+    rwr = _lines_of(emap, plan.rwr_regions)
+    swr = _lines_of(emap, plan.swr_regions)
+    pool = _lines_of(emap, plan.additional_regions)
+    shielded = np.isin(plan.working_regions, plan.rwr_regions)
+    ordinary = np.sort(_lines_of(emap, plan.working_regions[~shielded]))
+    limits = [np.inf]
+    if rwr.size:
+        limits.append((rwr + swr).min())
+    if pool.size < ordinary.size:
+        limits.append(ordinary[pool.size])
+    if pool.size and ordinary.size:
+        limits.append(ordinary[0] + pool.min())
+    working_lines = plan.working_regions.size * emap.lines_per_region
+    return working_lines * min(limits)
+
+
+def maxwe_uaa_ceiling(emap, spare_fraction):
+    """:func:`uaa_ceiling` for Max-WE's working lines and spare budget."""
+    plan = plan_allocation(emap, spare_fraction)
+    working = _lines_of(emap, plan.working_regions)
+    return uaa_ceiling(working, plan.spare_region_count * emap.lines_per_region)
 
 
 @st.composite
@@ -74,46 +139,30 @@ class TestConservation:
 
 
 class TestMonotonicity:
-    @pytest.mark.xfail(
-        strict=False,
-        reason=(
-            "The property as stated is false for degenerate endurance "
-            "distributions: on a flat map with one strong outlier (e.g. 19 "
-            "regions at 10, one at 210) effective_q clears the >= 3 filter, "
-            "but every spare is exactly as weak as the lines it shields, so "
-            "extra spare capacity is pure capacity loss and MaxWE(0.2) "
-            "serves fewer writes than MaxWE(0.05).  The analytic break-even "
-            "(q - 1)(1 - p) >= 1 assumes the paper's linear endurance "
-            "spread, which point-mass maps violate.  Pinned deterministically "
-            "in test_flat_map_with_outlier_counterexample below; tracked as "
-            "the known gap between the filter and the true precondition."
-        ),
-    )
     @given(random_maps(), st.integers(min_value=0, max_value=100))
     @settings(max_examples=30, deadline=None)
     def test_more_spares_never_hurt_maxwe_with_variation(self, emap, seed):
-        """Holds whenever there is real variation to harvest; near q = 1
-        sparing is pure capacity waste (the analytic break-even is
-        (q - 1)(1 - p) >= 1).  The raw EH/EL ratio is a poor proxy (one
-        strong outlier inflates it on an otherwise flat map), so the
-        filter uses the *effective* q -- the one that reproduces the
-        map's actual UAA exposure."""
-        from repro.endurance.calibration import effective_q
-
-        if effective_q(emap) < 3.0:
+        """Holds whenever the extra spares have real endurance to harvest:
+        the filter asks that the most MaxWE(0.05) could serve is within
+        what MaxWE(0.2)'s allocation plan guarantees.  A summary of the
+        spread does not suffice -- one strong outlier on a flat map clears
+        any q-based filter while every spare stays as weak as the lines it
+        shields (see test_flat_map_with_outlier_counterexample)."""
+        if maxwe_uaa_floor(emap, 0.2) < maxwe_uaa_ceiling(emap, 0.05):
             return
         small = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.05), rng=seed)
         large = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.2), rng=seed)
         assert large.normalized_lifetime >= small.normalized_lifetime - 1e-9
 
     def test_flat_map_with_outlier_counterexample(self):
-        """The counterexample behind the xfail above, pinned so the engine's
+        """Why the property above is filtered, pinned so the engine's
         actual behaviour on degenerate maps is tracked: when all lines are
         equally weak except one outlier, spares buy nothing and more spare
-        capacity strictly shortens the lifetime."""
+        capacity strictly shortens the lifetime.  The filter rejects it."""
         values = np.full(20, 10.0)
         values[-1] = 210.0
         emap = EnduranceMap(values, regions=20)
+        assert maxwe_uaa_floor(emap, 0.2) < maxwe_uaa_ceiling(emap, 0.05)
         small = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.05), rng=0)
         large = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.2), rng=0)
         assert large.normalized_lifetime < small.normalized_lifetime
@@ -142,45 +191,29 @@ class TestMonotonicity:
 
 
 class TestDominance:
-    @pytest.mark.xfail(
-        strict=False,
-        reason=(
-            "Same gap as the monotonicity xfail above: the dominance "
-            "break-even (q - 1)(1 - p) >= 1 assumes the paper's linear "
-            "endurance spread, and the effective-q filter does not fully "
-            "close the hole for point-mass maps.  On 19 regions at 10 "
-            "with one at 177, effective_q = 2.67 clears the filter "
-            "((2.67 - 1) * 0.9 = 1.50 >= 1.5, exactly at the boundary), "
-            "but every spare is as weak as the lines it shields, so "
-            "Max-WE's 10% capacity sacrifice buys nothing and it serves "
-            "fewer writes than no protection (0.490 vs 0.545).  Pinned "
-            "deterministically in "
-            "test_flat_map_with_outlier_breaks_dominance below."
-        ),
-    )
     @given(random_maps(), st.integers(min_value=0, max_value=100))
     @settings(max_examples=40, deadline=None)
     def test_maxwe_never_worse_than_no_protection_with_variation(self, emap, seed):
-        """Above the (q - 1)(1 - p) >= 1 break-even, sparing always pays;
-        the break-even is evaluated on the effective q (see the
-        monotonicity test for why the raw ratio misleads)."""
-        from repro.endurance.calibration import effective_q
-
-        if (effective_q(emap) - 1.0) * 0.9 < 1.5:
+        """Whenever Max-WE's allocation plan guarantees at least what no
+        protection serves (the device dies with its weakest line), Max-WE
+        never serves less.  This is the paper's (q - 1)(1 - p) >= 1
+        break-even read off the actual spares, not off the spread."""
+        if maxwe_uaa_floor(emap, 0.1) < uaa_ceiling(emap.line_endurance, 0):
             return
         nothing = simulate_lifetime(emap, UniformAddressAttack(), NoSparing(), rng=seed)
         maxwe = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.1), rng=seed)
         assert maxwe.normalized_lifetime >= nothing.normalized_lifetime - 1e-9
 
     def test_flat_map_with_outlier_breaks_dominance(self):
-        """The counterexample behind the xfail above, pinned so the engine's
+        """Why the property above is filtered, pinned so the engine's
         actual behaviour on degenerate maps is tracked: on a flat map with
-        one strong outlier sitting exactly at the filter boundary, no
-        protection outlives Max-WE because the spares are as weak as the
-        lines they replace."""
+        one strong outlier, no protection outlives Max-WE because the
+        spares are as weak as the lines they replace.  The filter rejects
+        it."""
         values = np.full(20, 10.0)
         values[-1] = 177.0
         emap = EnduranceMap(values, regions=20)
+        assert maxwe_uaa_floor(emap, 0.1) < uaa_ceiling(emap.line_endurance, 0)
         nothing = simulate_lifetime(emap, UniformAddressAttack(), NoSparing(), rng=0)
         maxwe = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.1), rng=0)
         assert maxwe.normalized_lifetime < nothing.normalized_lifetime

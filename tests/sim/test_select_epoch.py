@@ -7,7 +7,9 @@ with a separate argpartition / trim / lexsort / safe-prefix scan over
 the full arrays.  That scan is kept here as the oracle: on full rows
 the selector must return exactly its epoch, and on compact work rows
 either that same epoch or ``None`` (the caller then retries on the full
-row).  ``BATCH_LIMIT`` is patched small so rows straddle it.
+row), the latter only where the full row's epoch may involve a slot the
+compact row excludes.  ``BATCH_LIMIT`` is patched small so rows
+straddle it.
 """
 
 import math
@@ -76,6 +78,25 @@ def compact(row, limit):
     if work.size <= lifetime.BATCH_LIMIT:
         return None
     return work, threshold
+
+
+def may_decline(row, floor, w_max, sentinel):
+    """Whether the full row's epoch may involve a slot at or above the
+    sentinel, the only case where a compact row may decline: its first
+    death reaches the sentinel, its cap does, or it is uncapped with a
+    finite bound above the sentinel."""
+    batch_limit = lifetime.BATCH_LIMIT
+    finite = np.sort(row[np.isfinite(row)])
+    if not finite.size or not finite[0] < sentinel:
+        return True
+    t_min = float(finite[0])
+    bound = t_min if floor is None else t_min + floor / w_max
+    capped = finite.size > batch_limit and (
+        int(np.count_nonzero(finite < bound)) >= batch_limit
+    )
+    if capped:
+        return not finite[batch_limit - 1] < sentinel
+    return sentinel < bound < math.inf
 
 
 def assert_epoch(got, want):
@@ -149,6 +170,15 @@ def test_full_rows_select_the_scan_epoch(row, floor, w_max, batch_limit):
     extra=1,
     bumps=[(0, 1), (1, 1)],
 )
+# The bound passes the sentinel, but the capped epoch is all compact.
+@example(
+    row=np.array([0.0, 0.0, 1.0]),
+    floor=1.0,
+    w_max=0.5,
+    batch_limit=1,
+    extra=1,
+    bumps=[],
+)
 def test_compact_rows_select_the_full_epoch_or_decline(
     row, floor, w_max, batch_limit, extra, bumps
 ):
@@ -163,6 +193,9 @@ def test_compact_rows_select_the_full_epoch_or_decline(
             row[work[key % work.size]] += amount
         got = _select_epoch(row[work], floor, w_max, sentinel)
         if got is None:
+            # No needless decline: only an epoch that may reach past
+            # the compact row sends the kernel back to the full row.
+            assert may_decline(row, floor, w_max, sentinel)
             return
         want = scan_epoch(row, floor, w_max)
     assert_epoch((work[got[0]], got[1]), want)
@@ -175,6 +208,25 @@ def test_compact_row_serves_the_epoch_while_the_bound_stays_below_the_sentinel()
         got = _select_epoch(row[work], 1.5, 1.0, sentinel)
         assert got is not None
         assert_epoch((work[got[0]], got[1]), scan_epoch(row, 1.5, 1.0))
-        # A bound past the sentinel could reach excluded slots.
-        assert _select_epoch(row[work], 20.0, 1.0, sentinel) is None
+        # A bound past the sentinel still serves a capped epoch whose cap
+        # lies below it: the two smallest times are both compact.
+        assert 1.0 + 20.0 > sentinel
+        got = _select_epoch(row[work], 20.0, 1.0, sentinel)
+        assert got is not None
+        assert_epoch((work[got[0]], got[1]), scan_epoch(row, 20.0, 1.0))
+
+
+def test_compact_row_declines_an_uncapped_bound_past_the_sentinel():
+    row = np.array([4.0, 1.0, 2.0, 9.0, 1.0, 3.0, 8.0, 7.0])
+    with mock.patch.object(lifetime, "BATCH_LIMIT", 3):
+        work, sentinel = compact(row, 5)
+        assert work.tolist() == [0, 1, 2, 4, 5] and sentinel == 7.0
+        # Replacements push all compact times but one past the bound.
+        for key in (0, 2, 4, 5):
+            row[key] = 30.0
+        # Uncapped (one compact time below the bound 1 + 7 = 8), and the
+        # full row's epoch holds the excluded slot 7 (time 7 < 8).
+        want = scan_epoch(row, 7.0, 1.0)
+        assert want[0].tolist() == [1, 7]
+        assert _select_epoch(row[work], 7.0, 1.0, sentinel) is None
 
