@@ -60,7 +60,6 @@ from repro.util.validation import (
     positive_float_arg,
     positive_int_arg,
 )
-from repro.wearlevel import make_scheme
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -428,6 +427,27 @@ def _checkpoint_from(
     return Checkpoint(path, resume=True)
 
 
+def _run_options(
+    args: argparse.Namespace, config: ExperimentConfig, extra: dict | None = None
+) -> dict:
+    """The execution options of a runner-backed command.
+
+    Keyed as :func:`~repro.sim.runner.run_tasks` takes them; ``extra``
+    joins the ``--resume`` journal key (see :func:`_checkpoint_from`).
+    """
+    return {
+        "jobs": args.jobs,
+        "trials_per_task": args.trials_per_task,
+        "cache": _cache_from(args),
+        "engine": args.engine,
+        "policy": _policy_from(args),
+        "checkpoint": _checkpoint_from(args, config, extra),
+        "metrics": _metrics_from(args),
+        "backend": _backend_from(args),
+        **_verify_kwargs(args),
+    }
+
+
 def _install_faults(args: argparse.Namespace) -> None:
     """Activate ``--inject-faults`` for this process and all pool workers.
 
@@ -515,24 +535,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_spare(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
+    run = _run_options(args, config)
     _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
+    with maybe_span(run["metrics"], "cli/total"):
         rows = [
             [f"{fraction:.0%}", result.normalized_lifetime]
-            for fraction, result in spare_fraction_sweep(
-                config,
-                jobs=args.jobs,
-                trials_per_task=args.trials_per_task,
-                cache=cache,
-                engine=args.engine,
-                policy=_policy_from(args),
-                checkpoint=_checkpoint_from(args, config),
-                metrics=metrics,
-                backend=_backend_from(args),
-                **_verify_kwargs(args),
-            )
+            for fraction, result in spare_fraction_sweep(config, **run)
         ]
     print(
         render_table(
@@ -541,29 +549,17 @@ def _cmd_sweep_spare(args: argparse.Namespace) -> int:
             title="Figure 6: Max-WE under UAA vs spare capacity",
         )
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
+    _print_cache_stats(run["cache"])
+    _emit_metrics(args, run["metrics"], config)
     return 0
 
 
 def _cmd_sweep_swr(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
+    run = _run_options(args, config)
     _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
-        sweeps = swr_fraction_sweep(
-            config,
-            jobs=args.jobs,
-            trials_per_task=args.trials_per_task,
-            cache=cache,
-            engine=args.engine,
-            policy=_policy_from(args),
-            checkpoint=_checkpoint_from(args, config),
-            metrics=metrics,
-            backend=_backend_from(args),
-            **_verify_kwargs(args),
-        )
+    with maybe_span(run["metrics"], "cli/total"):
+        sweeps = swr_fraction_sweep(config, **run)
     fractions = [fraction for fraction, _ in next(iter(sweeps.values()))]
     headers = ["wear-leveler"] + [f"{fraction:.0%}" for fraction in fractions]
     rows = [
@@ -575,29 +571,17 @@ def _cmd_sweep_swr(args: argparse.Namespace) -> int:
             headers, rows, title="Figure 7: Max-WE under BPA vs SWR share of spares"
         )
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
+    _print_cache_stats(run["cache"])
+    _emit_metrics(args, run["metrics"], config)
     return 0
 
 
 def _cmd_compare_uaa(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
+    run = _run_options(args, config)
     _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
-        results = uaa_scheme_comparison(
-            config,
-            jobs=args.jobs,
-            trials_per_task=args.trials_per_task,
-            cache=cache,
-            engine=args.engine,
-            policy=_policy_from(args),
-            checkpoint=_checkpoint_from(args, config),
-            metrics=metrics,
-            backend=_backend_from(args),
-            **_verify_kwargs(args),
-        )
+    with maybe_span(run["metrics"], "cli/total"):
+        results = uaa_scheme_comparison(config, **run)
     baseline = results["no-protection"].normalized_lifetime
     rows = [
         [name, result.normalized_lifetime, result.normalized_lifetime / baseline]
@@ -610,29 +594,17 @@ def _cmd_compare_uaa(args: argparse.Namespace) -> int:
             title="Section 5.3.1: lifetimes under UAA (10% spares)",
         )
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
+    _print_cache_stats(run["cache"])
+    _emit_metrics(args, run["metrics"], config)
     return 0
 
 
 def _cmd_compare_bpa(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
+    run = _run_options(args, config)
     _install_faults(args)
-    with maybe_span(metrics, "cli/total"):
-        comparison = bpa_scheme_comparison(
-            config,
-            jobs=args.jobs,
-            trials_per_task=args.trials_per_task,
-            cache=cache,
-            engine=args.engine,
-            policy=_policy_from(args),
-            checkpoint=_checkpoint_from(args, config),
-            metrics=metrics,
-            backend=_backend_from(args),
-            **_verify_kwargs(args),
-        )
+    with maybe_span(run["metrics"], "cli/total"):
+        comparison = bpa_scheme_comparison(config, **run)
     wearlevelers = list(next(iter(comparison.values())).keys())
     headers = ["scheme"] + wearlevelers + ["gmean"]
     rows = []
@@ -644,8 +616,8 @@ def _cmd_compare_bpa(args: argparse.Namespace) -> int:
             headers, rows, title="Figure 8: sparing schemes under BPA (90% SWRs)"
         )
     )
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
+    _print_cache_stats(run["cache"])
+    _emit_metrics(args, run["metrics"], config)
     return 0
 
 
@@ -677,30 +649,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: spec file {args.specs!r} is not valid JSON: {error}")
         return 1
     config = _config_from(args)
-    cache = _cache_from(args)
-    metrics = _metrics_from(args)
+    run = _run_options(args, config, {"specs": specs})
     _install_faults(args)
     try:
-        with maybe_span(metrics, "cli/total"):
-            batch = run_batch(
-                specs,
-                config,
-                jobs=args.jobs,
-                trials_per_task=args.trials_per_task,
-                cache=cache,
-                engine=args.engine,
-                policy=_policy_from(args),
-                checkpoint=_checkpoint_from(args, config, {"specs": specs}),
-                metrics=metrics,
-                backend=_backend_from(args),
-                **_verify_kwargs(args),
-            )
+        with maybe_span(run["metrics"], "cli/total"):
+            batch = run_batch(specs, config, **run)
     except (ValueError, TypeError) as error:
         print(f"error: invalid batch spec: {error}")
         return 1
     print(batch.to_table())
-    _print_cache_stats(cache)
-    _emit_metrics(args, metrics, config)
+    _print_cache_stats(run["cache"])
+    _emit_metrics(args, run["metrics"], config)
     if args.output:
         batch.to_json(args.output)
         print(f"\narchive written to {args.output}")

@@ -60,16 +60,10 @@ from repro.sim.executor import SupervisedTask
 from repro.util.events import EventLog
 
 
-class LeaseExpired(RuntimeError):
-    """A worker lease lapsed without heartbeat (partition / stall)."""
-
-    #: Honored by :func:`repro.sim.resilience.is_retryable`.
-    retryable = True
-
-
 class WorkerCrash(RuntimeError):
     """A worker connection died while holding an active lease."""
 
+    #: Honored by :func:`repro.sim.resilience.is_retryable`.
     retryable = True
 
 

@@ -33,7 +33,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic, perf_counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import build_manifest
@@ -44,7 +44,9 @@ from repro.sim.batch import RunSpec, run_batch
 from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
 from repro.sim.faults import CRASH_EXIT_CODE, active_injector
+from repro.sim.lifetime import normalize_engine
 from repro.sim.resilience import ResiliencePolicy, derive_checkpoint_path
+from repro.util.validation import require_positive_int
 
 #: Default service state directory (job records, ledgers, shared cache).
 DEFAULT_STATE_DIR = ".repro-service"
@@ -53,7 +55,8 @@ DEFAULT_STATE_DIR = ".repro-service"
 #: ``deadline_seconds`` is deliberately NOT an option: options feed the
 #: batch key, and a deadline is a property of the *request*, not of what
 #: the batch computes -- two tenants asking for the same batch under
-#: different deadlines must still coalesce.
+#: different deadlines must still coalesce.  For the same reason
+#: ``trials_per_task`` (the ensemble chunk size) is left out of the key.
 _OPTION_FIELDS = ("engine", "trials_per_task")
 
 #: Most specs one submission may carry (with the device-size limit in
@@ -220,9 +223,14 @@ class SimService:
             "seed": config.seed,
         }
         options: Dict[str, object] = {"engine": self.config.engine}
-        for name in _OPTION_FIELDS:
-            if payload.get(name) is not None:
-                options[name] = payload[name]
+        try:
+            if payload.get("engine") is not None:
+                options["engine"] = normalize_engine(payload["engine"])
+            if payload.get("trials_per_task") is not None:
+                require_positive_int(payload["trials_per_task"], "trials_per_task")
+                options["trials_per_task"] = payload["trials_per_task"]
+        except (TypeError, ValueError) as error:
+            raise ValidationError(f"bad option: {error}") from error
         deadline: Optional[float] = None
         if payload.get("deadline_seconds") is not None:
             try:
@@ -256,7 +264,11 @@ class SimService:
             self._count("service.drain_rejections")
             raise ServiceUnavailable("service is draining; not admitting work")
         specs, config, options, deadline = self._validate(payload)
-        key = batch_key(config, options, specs)
+        key = batch_key(
+            config,
+            {name: value for name, value in options.items() if name != "trials_per_task"},
+            specs,
+        )
         job = Job(
             tenant=tenant, specs=specs, config=config,
             options=options, batch_key=key, deadline_seconds=deadline,

@@ -41,6 +41,7 @@ from repro.sim.runner import (
     SimRunner,
     SimTask,
     fork_task_seeds,
+    run_tasks,
 )
 from repro.sim.experiments import (
     bpa_scheme_comparison,
@@ -66,6 +67,7 @@ __all__ = [
     "SimRunner",
     "SimTask",
     "fork_task_seeds",
+    "run_tasks",
     "bpa_scheme_comparison",
     "spare_fraction_sweep",
     "swr_fraction_sweep",

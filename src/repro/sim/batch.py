@@ -19,26 +19,22 @@ Spec fields mirror the CLI's vocabulary::
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.attacks.suite import WORKLOAD_NAMES
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
-from repro.sim.resilience import Checkpoint, ResiliencePolicy
 from repro.sim.result import SimulationResult
 from repro.sim.runner import (
     ATTACKS,
     SPARINGS,
     WEARLEVELERS,
-    SimRunner,
     SimTask,
     build_attack,
     build_sparing,
     build_wearleveler,
+    run_tasks,
 )
 from repro.util.tables import render_table
 from repro.util.validation import require_fraction
@@ -115,13 +111,7 @@ class RunSpec:
     def build_wearleveler(self):
         return build_wearleveler(self.wearlevel)
 
-    def to_task(
-        self,
-        config: ExperimentConfig,
-        engine: str = "fluid-batched",
-        paranoia: str = "off",
-        shadow_sample: float = 0.0,
-    ) -> SimTask:
+    def to_task(self, config: ExperimentConfig) -> SimTask:
         """The declarative runner task equivalent to this spec."""
         return SimTask(
             attack=self.attack,
@@ -130,9 +120,6 @@ class RunSpec:
             p=self.p,
             swr=self.swr,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
             label=self.label,
         )
 
@@ -204,18 +191,7 @@ class BatchResult:
 def run_batch(
     specs: Sequence["RunSpec | Dict"],
     config: ExperimentConfig | None = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
-    on_result: Optional[object] = None,
+    **run,
 ) -> BatchResult:
     """Execute a list of specs against one device configuration.
 
@@ -226,42 +202,9 @@ def run_batch(
     config:
         Shared device configuration; its seed seeds every run, exactly
         as the historical serial loop did.
-    jobs:
-        Worker processes for the underlying :class:`SimRunner` (1 =
-        serial, 0/None = all CPUs).  Results are seed-deterministic and
-        identical in any job count.
-    cache:
-        Optional content-addressed result cache; unchanged specs rerun
-        instantly.
-    engine:
-        Lifetime engine for every run (see
-        :data:`repro.sim.lifetime.ENGINES`).
-    policy:
-        Supervision policy (timeouts, retries, crash isolation); see
-        :class:`~repro.sim.resilience.ResiliencePolicy`.
-    checkpoint:
-        Optional resume checkpoint (or journal path): completed runs
-        stream to it and a re-invocation skips finished work.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` collecting
-        runner/engine spans and counters for the batch.
-    paranoia / shadow_sample:
-        State-integrity verification knobs applied to every run (see
-        :mod:`repro.verify.invariants`); results are bit-identical
-        across levels.
-    trials_per_task:
-        Runs per ensemble chunk when ``engine="fluid-ensemble"``: chunked
-        runs advance together in one kernel pass while every result stays
-        bit-identical to its per-task dispatch.  ``None`` auto-sizes; see
-        :class:`~repro.sim.runner.SimRunner`.
-    backend:
-        Execution backend spec (``"pool"``/``"fabric"`` or an
-        :class:`~repro.sim.executor.ExecutorBackend` instance); results
-        are bit-identical across backends.
-    on_result:
-        Optional ``(index, result, elapsed)`` observer forwarded to the
-        runner; fires once per spec as its result lands (the service
-        layer streams partial results through it).
+    **run:
+        Execution options, forwarded to :func:`~repro.sim.runner.run_tasks`
+        (the service streams partial results through its ``on_result``).
     """
     if not specs:
         raise ValueError("batch needs at least one spec")
@@ -270,25 +213,5 @@ def run_batch(
         spec if isinstance(spec, RunSpec) else RunSpec.from_dict(spec)
         for spec in specs
     ]
-    runner = SimRunner(
-        jobs=jobs,
-        cache=cache,
-        policy=policy,
-        checkpoint=checkpoint,
-        metrics=metrics,
-        trials_per_task=trials_per_task,
-        backend=backend,
-        on_result=on_result,
-    )
-    results = runner.run(
-        [
-            spec.to_task(
-                config,
-                engine=engine,
-                paranoia=paranoia,
-                shadow_sample=shadow_sample,
-            )
-            for spec in normalized
-        ]
-    )
+    results = run_tasks([spec.to_task(config) for spec in normalized], **run)
     return BatchResult(specs=tuple(normalized), results=tuple(results), config=config)

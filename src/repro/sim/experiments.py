@@ -16,30 +16,20 @@ All drivers return plain data structures (lists/dicts of
 tests can format them however they need.
 
 Every driver expresses its runs as declarative
-:class:`~repro.sim.runner.SimTask` specs and executes them through one
-:class:`~repro.sim.runner.SimRunner`, so all sweeps accept ``jobs``
-(process-parallel fan-out; results are bit-identical to serial),
-``cache`` (content-addressed result reuse across reruns), ``policy``
-(supervision: per-task timeouts, bounded retries, crash isolation --
-see :class:`~repro.sim.resilience.ResiliencePolicy`), and
-``checkpoint`` (append-only completed-result journal so an interrupted
-sweep resumes without re-simulating finished points), and the
-state-integrity knobs ``paranoia`` / ``shadow_sample`` (see
-:mod:`repro.verify`; verification never changes results).
+:class:`~repro.sim.runner.SimTask` specs and forwards its ``**run``
+keywords to :func:`~repro.sim.runner.run_tasks`, whose docstring lists
+the execution options (parallelism, caching, supervision, checkpoints,
+metrics, engine, verification).  Results do not depend on them.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.maxwe import MaxWE
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
-from repro.sim.resilience import Checkpoint, ResiliencePolicy
 from repro.sim.result import SimulationResult
-from repro.sim.runner import SimRunner, SimTask
+from repro.sim.runner import SimTask, run_tasks
 from repro.sparing.base import SpareScheme
 from repro.sparing.pcd import PCD
 from repro.sparing.ps import PS
@@ -69,36 +59,10 @@ _TASK_SPARING_NAMES: Dict[str, str] = {
 }
 
 
-def _run_tasks(
-    tasks: Sequence[SimTask],
-    jobs: int,
-    cache: Optional[ResultCache],
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
-) -> List[SimulationResult]:
-    return SimRunner(
-        jobs=jobs, cache=cache, policy=policy, checkpoint=checkpoint,
-        metrics=metrics, trials_per_task=trials_per_task, backend=backend,
-    ).run(tasks)
-
-
 def spare_fraction_sweep(
     config: ExperimentConfig | None = None,
     fractions: Sequence[float] = FIG6_SPARE_FRACTIONS,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **run,
 ) -> List[Tuple[float, SimulationResult]]:
     """Figure 6: Max-WE under UAA across spare-capacity percentages.
 
@@ -114,14 +78,11 @@ def spare_fraction_sweep(
             p=fraction,
             swr=config.swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
             label=f"spare={fraction:.0%}",
         )
         for fraction in fractions
     ]
-    results = _run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend)
+    results = run_tasks(tasks, **run)
     return list(zip(fractions, results))
 
 
@@ -129,17 +90,7 @@ def swr_fraction_sweep(
     config: ExperimentConfig | None = None,
     swr_fractions: Sequence[float] = FIG7_SWR_FRACTIONS,
     wearlevelers: Sequence[str] = EVALUATED_WEAR_LEVELERS,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **run,
 ) -> Dict[str, List[Tuple[float, SimulationResult]]]:
     """Figure 7: Max-WE under BPA across SWR shares, per wear-leveler."""
     config = config if config is not None else ExperimentConfig()
@@ -151,15 +102,12 @@ def swr_fraction_sweep(
             p=config.spare_fraction,
             swr=swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
             label=f"{wl_name}/swr={swr_fraction:.0%}",
         )
         for wl_name in wearlevelers
         for swr_fraction in swr_fractions
     ]
-    results = iter(_run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend))
+    results = iter(run_tasks(tasks, **run))
     return {
         wl_name: [(swr_fraction, next(results)) for swr_fraction in swr_fractions]
         for wl_name in wearlevelers
@@ -170,17 +118,7 @@ def bpa_scheme_comparison(
     config: ExperimentConfig | None = None,
     wearlevelers: Sequence[str] = EVALUATED_WEAR_LEVELERS,
     sparing_names: Sequence[str] = ("ps-worst", "pcd-ps", "max-we"),
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **run,
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Figure 8: sparing schemes under BPA across wear-levelers.
 
@@ -197,15 +135,12 @@ def bpa_scheme_comparison(
             p=config.spare_fraction,
             swr=config.swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
             label=f"{sparing_name}/{wl_name}",
         )
         for sparing_name in sparing_names
         for wl_name in wearlevelers
     ]
-    results = iter(_run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend))
+    results = iter(run_tasks(tasks, **run))
     return {
         sparing_name: {wl_name: next(results) for wl_name in wearlevelers}
         for sparing_name in sparing_names
@@ -214,17 +149,7 @@ def bpa_scheme_comparison(
 
 def uaa_scheme_comparison(
     config: ExperimentConfig | None = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **run,
 ) -> Dict[str, SimulationResult]:
     """Section 5.3.1: UAA lifetimes at 10% spares for all sparing schemes.
 
@@ -241,12 +166,9 @@ def uaa_scheme_comparison(
             p=config.spare_fraction,
             swr=config.swr_fraction,
             config=config,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
             label=name,
         )
         for name in names
     ]
-    results = _run_tasks(tasks, jobs, cache, policy, checkpoint, metrics, trials_per_task, backend)
+    results = run_tasks(tasks, **run)
     return dict(zip(names, results))

@@ -12,7 +12,6 @@ confidence interval.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,11 +19,9 @@ import numpy as np
 
 from repro.attacks.base import AttackModel
 from repro.endurance.emap import EnduranceMap
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import ExperimentConfig
-from repro.sim.resilience import Checkpoint, ResiliencePolicy
 from repro.sim.result import SimulationResult
-from repro.sim.runner import CallableTask, SimRunner
+from repro.sim.runner import CallableTask, run_tasks
 from repro.sparing.base import SpareScheme
 from repro.util.rng import fork_seeds
 from repro.util.validation import require_positive_int
@@ -122,15 +119,7 @@ def monte_carlo_lifetime(
     wearleveler_factory: Optional[Callable[[], WearLeveler]] = None,
     replicas: int = 10,
     confidence: float = 0.95,
-    jobs: int = 1,
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    engine: str = "fluid-batched",
-    trials_per_task: Optional[int] = None,
-    backend: object = None,
+    **run,
 ) -> MonteCarloResult:
     """Run ``replicas`` independently seeded lifetime simulations.
 
@@ -152,29 +141,14 @@ def monte_carlo_lifetime(
         Number of independent runs.
     confidence:
         One of 0.90, 0.95, 0.99.
-    jobs:
-        Worker processes for the replica fan-out (1 = serial, 0/None =
-        all CPUs).  Replica seeds are forked up front, so results are
-        identical in any job count; unpicklable factories (lambdas,
-        closures) silently fall back to serial execution.
-    policy:
-        Supervision policy (timeouts, retries, crash isolation); see
-        :class:`~repro.sim.resilience.ResiliencePolicy`.
-    checkpoint:
-        Optional resume checkpoint (or journal path): finished replicas
-        stream to it and a re-invocation skips them.
-    paranoia / shadow_sample:
-        State-integrity verification knobs applied to every replica (see
-        :mod:`repro.verify`); results are bit-identical across levels.
-    engine:
-        Lifetime engine for every replica.  ``"fluid-ensemble"`` advances
+    **run:
+        Execution options, forwarded to :func:`~repro.sim.runner.run_tasks`.
+        Replica seeds are forked up front, so results are identical in any
+        job count; unpicklable factories (lambdas, closures) silently fall
+        back to serial execution.  ``engine="fluid-ensemble"`` advances
         many replicas per kernel pass (each still bit-identical to its
-        solo ``"fluid-batched"`` run) -- the fast choice for large
-        replica counts.
-    trials_per_task:
-        Replicas per ensemble chunk (``"fluid-ensemble"`` only); ``None``
-        auto-sizes to ``ceil(replicas / jobs)`` so chunking and process
-        parallelism compose.  See :class:`~repro.sim.runner.SimRunner`.
+        solo ``"fluid-batched"`` run) -- the fast choice for large replica
+        counts.
     """
     require_positive_int(replicas, "replicas")
     if confidence not in _Z_SCORES:
@@ -200,21 +174,11 @@ def monte_carlo_lifetime(
             emap_factory=emap_factory,
             seed=seed,
             wearleveler_factory=wearleveler_factory,
-            engine=engine,
-            paranoia=paranoia,
-            shadow_sample=shadow_sample,
             label=f"replica-{index}",
         )
         for index, seed in enumerate(seeds)
     ]
-    results = SimRunner(
-        jobs=jobs,
-        policy=policy,
-        checkpoint=checkpoint,
-        metrics=metrics,
-        trials_per_task=trials_per_task,
-        backend=backend,
-    ).run(tasks)
+    results = run_tasks(tasks, **run)
     lifetimes = np.array([result.normalized_lifetime for result in results])
     return MonteCarloResult(
         lifetimes=lifetimes, confidence=confidence, results=tuple(results)

@@ -18,6 +18,8 @@ gives them one execution engine:
   lookups first, then the misses either serially (``jobs=1`` or small
   batches) or over a :class:`concurrent.futures.ProcessPoolExecutor`,
   under a :class:`~repro.sim.resilience.ResiliencePolicy` supervisor.
+* :func:`run_tasks` -- the drivers' entry point: stamps the task
+  options on every task and runs them on one :class:`SimRunner`.
 
 Supervision (see :mod:`repro.sim.resilience`): every attempt runs under
 an optional wall-clock timeout; failed attempts retry with exponential
@@ -88,7 +90,6 @@ from repro.sim.resilience import (
     RunInterrupted,
     SimulationFailure,
     TaskTimeout,
-    is_retryable,
     time_limit,
 )
 from repro.sim.result import SimulationResult
@@ -486,11 +487,6 @@ def task_identity(task: AnyTask) -> Tuple[str, str]:
 def fork_task_seeds(seed: Optional[int], count: int, label: str = "sim-runner") -> List[int]:
     """Derive ``count`` deterministic per-task seeds from a master seed."""
     return fork_seeds(seed, count, label)
-
-
-def _execute_task(task: AnyTask) -> Tuple[SimulationResult, float]:
-    """Module-level worker entry point (picklable for process pools)."""
-    return task.execute()
 
 
 @dataclass(frozen=True)
@@ -1501,3 +1497,41 @@ class SimRunner:
             signal.signal(signal.SIGTERM, previous)
         except (ValueError, OSError):
             pass
+
+
+def run_tasks(
+    tasks: Sequence[AnyTask],
+    *,
+    engine: str = "fluid-batched",
+    paranoia: str = "off",
+    shadow_sample: float = 0.0,
+    **runner,
+) -> List[SimulationResult]:
+    """Run ``tasks`` under one set of execution options.
+
+    This is the option list of every evaluation driver (the sweeps in
+    :mod:`repro.sim.experiments`, :func:`~repro.sim.batch.run_batch`,
+    :func:`~repro.sim.montecarlo.monte_carlo_lifetime` and
+    :func:`~repro.sim.sensitivity.sensitivity_analysis`): each builds its
+    tasks and forwards its ``**run`` keywords here.
+
+    The task options are stamped on every task:
+
+    engine:
+        Lifetime engine (see :data:`repro.sim.lifetime.ENGINES`).
+    paranoia / shadow_sample:
+        State-integrity verification knobs (see :mod:`repro.verify`);
+        results are bit-identical across levels.
+
+    Every other keyword goes to :class:`SimRunner` (``jobs``, ``cache``,
+    ``policy``, ``checkpoint``, ``metrics``, ``trials_per_task``,
+    ``backend``, ``on_result``); an unknown one raises ``TypeError``.
+    Results come back in task order.
+    """
+    stamped = [
+        dataclasses.replace(
+            task, engine=engine, paranoia=paranoia, shadow_sample=shadow_sample
+        )
+        for task in tasks
+    ]
+    return SimRunner(**runner).run(stamped)

@@ -18,15 +18,11 @@ the paper can trade the SWR share for mapping-table savings so cheaply.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
-from repro.sim.resilience import Checkpoint, ResiliencePolicy
-from repro.sim.runner import SimRunner, SimTask
+from repro.sim.runner import SimTask, run_tasks
 from repro.util.validation import require_fraction
 
 #: Parameters the analysis can perturb.
@@ -62,18 +58,12 @@ class Sensitivity:
         return relative_dl / relative_dtheta
 
 
-def _task(
-    config: ExperimentConfig,
-    engine: str,
-    label: str,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-) -> SimTask:
+def _task(config: ExperimentConfig, label: str) -> SimTask:
     """Max-WE-under-UAA evaluation of ``config`` as a declarative task.
 
     Equivalent to the historical direct ``simulate_lifetime`` call (same
-    emap, attack, scheme, and seed), but routable through a
-    :class:`~repro.sim.runner.SimRunner` for fan-out, caching, and
+    emap, attack, scheme, and seed), but routable through
+    :func:`~repro.sim.runner.run_tasks` for fan-out, caching, and
     supervision.
     """
     return SimTask(
@@ -82,9 +72,6 @@ def _task(
         p=config.spare_fraction,
         swr=config.swr_fraction,
         config=config,
-        engine=engine,
-        paranoia=paranoia,
-        shadow_sample=shadow_sample,
         label=label,
     )
 
@@ -94,23 +81,14 @@ def sensitivity_analysis(
     *,
     relative_step: float = 0.1,
     parameters: Tuple[str, ...] = PARAMETERS,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    engine: str = "fluid-batched",
-    policy: Optional[ResiliencePolicy] = None,
-    checkpoint: "Checkpoint | str | os.PathLike | None" = None,
-    metrics: Optional[MetricsRegistry] = None,
-    paranoia: str = "off",
-    shadow_sample: float = 0.0,
-    backend: object = None,
+    **run,
 ) -> Dict[str, Sensitivity]:
     """Elasticities of Max-WE's UAA lifetime around a configuration.
 
     The base point and every perturbed neighbour are expressed as
     declarative tasks and executed through one
-    :class:`~repro.sim.runner.SimRunner`, so the analysis accepts the
-    standard execution knobs (``jobs``, ``cache``, ``policy``,
-    ``checkpoint``) with results identical to the historical serial loop.
+    :func:`~repro.sim.runner.run_tasks` call, with results identical to
+    the historical serial loop.
 
     Parameters
     ----------
@@ -120,20 +98,8 @@ def sensitivity_analysis(
         Relative perturbation applied to each parameter (+10% default).
     parameters:
         Subset of :data:`PARAMETERS` to analyze.
-    jobs:
-        Worker processes for the evaluations (1 = serial).
-    cache:
-        Optional content-addressed result cache.
-    engine:
-        Lifetime engine for every evaluation.
-    policy:
-        Supervision policy (timeouts, retries, crash isolation).
-    checkpoint:
-        Optional resume checkpoint (or journal path).
-    paranoia / shadow_sample:
-        State-integrity verification knobs applied to every evaluation
-        (see :mod:`repro.verify`); results are bit-identical across
-        levels.
+    **run:
+        Execution options, forwarded to :func:`~repro.sim.runner.run_tasks`.
     """
     require_fraction(relative_step, "relative_step", inclusive=False)
     config = config if config is not None else ExperimentConfig()
@@ -149,21 +115,14 @@ def sensitivity_analysis(
             perturbed_value = min(perturbed_value, 1.0 if parameter == "swr_fraction" else 0.99)
         perturbations.append((parameter, base_value, perturbed_value))
 
-    tasks = [_task(config, engine, "base", paranoia, shadow_sample)] + [
+    tasks = [_task(config, "base")] + [
         _task(
             config.with_(**{parameter: perturbed_value}),
-            engine,
             f"{parameter}+{relative_step:.0%}",
-            paranoia,
-            shadow_sample,
         )
         for parameter, _, perturbed_value in perturbations
     ]
-    runner = SimRunner(
-        jobs=jobs, cache=cache, policy=policy, checkpoint=checkpoint,
-        metrics=metrics, backend=backend,
-    )
-    results = runner.run(tasks)
+    results = run_tasks(tasks, **run)
     base_lifetime = results[0].normalized_lifetime
 
     report: Dict[str, Sensitivity] = {}

@@ -86,11 +86,6 @@ def task_context(payload: Optional[dict], options: Optional[dict] = None) -> Ite
         _local.task = previous
 
 
-def current_task_payload() -> Optional[dict]:
-    """The payload pinned by the calling thread's task, if any."""
-    return _task_state()[0]
-
-
 @contextlib.contextmanager
 def suppress_bundles() -> Iterator[None]:
     """Disable bundle writing inside the block (used by replays/tests).

@@ -102,6 +102,25 @@ class TestEndToEnd:
         assert manifest["counters"]["service.submitted"] == 2
 
 
+class TestDedupOptions:
+    def test_chunk_size_does_not_split_dedup(self, harness):
+        # Results never depend on the ensemble chunk size, so a batch
+        # that differs only in trials_per_task is the same batch.
+        first = harness.client.submit(SPECS, SMALL)
+        harness.client.wait(first["job_id"])
+        second = harness.client.submit(SPECS, SMALL, trials_per_task=4)
+        assert second["status"] == "done" and second["dedup_hit"]
+        assert harness.client.results(second["job_id"]) == harness.client.results(
+            first["job_id"]
+        )
+
+    def test_engine_alias_dedups_with_its_name(self, harness):
+        first = harness.client.submit(SPECS, SMALL, engine="fluid-exact")
+        harness.client.wait(first["job_id"])
+        second = harness.client.submit(SPECS, SMALL, engine="fluid")
+        assert second["status"] == "done" and second["dedup_hit"]
+
+
 class TestErrorCodes:
     def test_validation_errors_are_400(self, harness):
         with pytest.raises(ServiceError) as excinfo:
@@ -123,6 +142,23 @@ class TestErrorCodes:
         with pytest.raises(ServiceError, match="at most") as excinfo:
             harness.client.submit(specs, SMALL)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"engine": "bogus"},
+            {"engine": ["fluid-exact"]},
+            {"trials_per_task": 0},
+            {"trials_per_task": "x"},
+            {"trials_per_task": True},
+        ],
+    )
+    def test_bad_run_options_are_400(self, harness, options):
+        # Rejected at submit, not accepted and then failed at dispatch.
+        with pytest.raises(ServiceError, match="bad option") as excinfo:
+            harness.client.submit(SPECS, SMALL, **options)
+        assert excinfo.value.status == 400
+        assert harness.client.list_jobs() == []
 
     def test_unknown_job_is_404(self, harness):
         with pytest.raises(ServiceError) as excinfo:

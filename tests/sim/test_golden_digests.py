@@ -9,6 +9,11 @@ suite on one small linear map.  A kernel refactor must leave every
 digest where it is; a deliberate change of engine numerics moves them
 and must also bump ``CACHE_SCHEMA_VERSION`` (``repro/sim/cache.py``) so
 cached results of the old numerics stop being served.
+
+The small map never reaches the machinery that only switches on at a
+million lines (the unpatched ``BATCH_LIMIT`` cap, compact work rows,
+death runs, the width-64 region reduction), so the full-scale batch is
+pinned too, and checked once against the exact reference engine.
 """
 
 import hashlib
@@ -17,6 +22,9 @@ import json
 import pytest
 
 from repro.endurance.linear import LinearEnduranceModel, linear_endurance_map
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.batch import RunSpec, run_batch
+from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
 from tests.sim.test_engine_equivalence import ATTACK_FACTORIES, SCHEME_FACTORIES
 
@@ -99,3 +107,47 @@ def test_result_digest_is_pinned(engine, scheme_name, attack_name):
         "CACHE_SCHEMA_VERSION in repro/sim/cache.py and re-pin GOLDEN; "
         "otherwise the change broke bit-identity."
     )
+
+
+#: Max-WE under UAA and under BPA on one 1M-line device (perfbench's
+#: ``fullscale`` batch).
+FULLSCALE_SPECS = (
+    RunSpec("max-we/uaa", attack="uaa", sparing="max-we"),
+    RunSpec("max-we/bpa", attack="bpa", sparing="max-we"),
+)
+
+#: sha256[:16] of ``run_batch(FULLSCALE_SPECS, config).to_json()`` per seed.
+FULLSCALE_GOLDEN = {
+    1: "ff046c7fbc6400b6",
+    2: "accd2a959ba8cf14",
+    3: "18caa769d4842c5e",
+    4: "072c48998be2d689",
+    5: "75de1aaede44393b",
+}
+
+
+def fullscale_config(seed: int) -> ExperimentConfig:
+    return ExperimentConfig(regions=16384, lines_per_region=64, seed=seed)
+
+
+def batch_digest(batch) -> str:
+    return hashlib.sha256(batch.to_json().encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", sorted(FULLSCALE_GOLDEN))
+def test_fullscale_batch_is_pinned(seed):
+    batch = run_batch(FULLSCALE_SPECS, fullscale_config(seed))
+    assert batch_digest(batch) == FULLSCALE_GOLDEN[seed], (
+        f"full-scale batch (seed {seed}) moved; see the GOLDEN message above"
+    )
+
+
+def test_fullscale_batch_agrees_with_exact_engine():
+    # shadow_sample=1.0 re-runs every sim on fluid-exact and raises on
+    # any divergence (compare_runs); verification leaves results as is.
+    metrics = MetricsRegistry()
+    batch = run_batch(
+        FULLSCALE_SPECS, fullscale_config(1), shadow_sample=1.0, metrics=metrics
+    )
+    assert metrics.counter("verify.shadow_audits") == len(FULLSCALE_SPECS)
+    assert batch_digest(batch) == FULLSCALE_GOLDEN[1]
