@@ -1,9 +1,10 @@
 """BENCH_engine -- vectorized epoch kernel vs the scalar event loop.
 
-Runs the same lifetime simulations through both fluid engines
-(``fluid-batched`` and ``fluid-exact``) on a 64k-line device under UAA,
-one leg per sparing scheme, with timelines off so the measurement is the
-engines alone.  Asserts the engines agree -- death and replacement
+Runs the same lifetime simulations through the ``fluid-batched`` kernel
+and the scalar oracle (:func:`~repro.sim.reference.exact_lifetime`) on
+a 64k-line device under UAA, one leg per sparing scheme, with timelines
+off so the measurement is the two loops alone.  Asserts they agree --
+death and replacement
 counts and failure reasons exactly, served writes to 1e-9 relative --
 then emits ``BENCH_engine.json`` at the repo root (and a copy under
 ``benchmarks/results/``):
@@ -33,6 +34,7 @@ from repro.attacks.uaa import UniformAddressAttack
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
+from repro.sim.reference import exact_lifetime
 from repro.sim.runner import build_sparing
 
 import sys
@@ -60,15 +62,26 @@ WRITES_RTOL = 1e-9
 
 #: Acceptance bar: aggregate batched-vs-exact speedup over the scheme
 #: suite.  Lowered from 10x when the death-frontier index accelerated
-#: the *exact reference engine* too (its heap compactions stopped
+#: the *scalar oracle* too (its heap compactions stopped
 #: rescanning the device) -- a faster denominator shrinks the ratio
 #: without any batched regression, so the bar tracks that reality.
 REQUIRED_SPEEDUP = 6.0
 
-#: Tiny device used to warm both engines before any timed leg (numpy
+#: Tiny device used to warm both loops before any timed leg (numpy
 #: defers some module imports to first use; without a warm-up the first
 #: timed simulation pays them).
 WARMUP_CONFIG = ExperimentConfig(regions=64, lines_per_region=2, seed=2019)
+
+
+def _run_exact(config: ExperimentConfig, scheme: str) -> tuple:
+    """One timed oracle simulation under UAA; returns ``(result, seconds)``."""
+    emap = config.make_emap()
+    sparing = build_sparing(scheme, config.spare_fraction, config.swr_fraction)
+    start = perf_counter()
+    result = exact_lifetime(
+        emap, UniformAddressAttack(), sparing, rng=config.seed, record_timeline=False
+    )
+    return result, perf_counter() - start
 
 
 def _run(config: ExperimentConfig, scheme: str, engine: str, attack=None) -> tuple:
@@ -116,19 +129,18 @@ def _agree(exact, batched) -> tuple[bool, str]:
 
 
 def run_bench(quick: bool = False) -> dict:
-    """Measure both engines per scheme; returns the BENCH_engine payload."""
+    """Measure the kernel and the oracle per scheme; returns the payload."""
     config = QUICK_CONFIG if quick else BENCH_CONFIG
-    for engine in ("fluid-exact", "fluid-batched"):
-        _run(WARMUP_CONFIG, "max-we", engine)  # untimed warm-up; phases dropped
+    # Untimed warm-ups.
+    _run_exact(WARMUP_CONFIG, "max-we")
+    _run(WARMUP_CONFIG, "max-we", "fluid-batched")
     schemes: dict[str, dict] = {}
     exact_total = 0.0
     batched_total = 0.0
     all_identical = True
 
     for scheme in BENCH_SCHEMES:
-        exact_result, exact_seconds, exact_phases, _ = _run(
-            config, scheme, "fluid-exact"
-        )
+        exact_result, exact_seconds = _run_exact(config, scheme)
         batched_result, batched_seconds, batched_phases, _ = _run(
             config, scheme, "fluid-batched"
         )
@@ -142,7 +154,6 @@ def run_bench(quick: bool = False) -> dict:
             "normalized_lifetime": round(exact_result.normalized_lifetime, 9),
             "exact_seconds": round(exact_seconds, 4),
             "batched_seconds": round(batched_seconds, 4),
-            "exact_phases": exact_phases,
             "batched_phases": batched_phases,
             "batched_epochs": batched_result.metadata.get("epochs"),
             "speedup": round(exact_seconds / batched_seconds, 2)
@@ -154,8 +165,8 @@ def run_bench(quick: bool = False) -> dict:
 
     payload = {
         "bench": "engine",
-        "description": "fluid-batched epoch kernel vs fluid-exact scalar loop "
-        "under UAA, one leg per sparing scheme, timelines off",
+        "description": "fluid-batched epoch kernel vs the exact_lifetime "
+        "scalar loop under UAA, one leg per sparing scheme, timelines off",
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
         "quick": quick,

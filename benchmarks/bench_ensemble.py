@@ -75,7 +75,7 @@ PHASE_SPANS = (
 )
 
 
-def _study(engine, config, replicas, scheme, trials_per_task=None):
+def _study(engine, config, replicas, scheme):
     """One timed Monte-Carlo study; returns ``(study, seconds, phases)``."""
     sparing_factory = functools.partial(
         build_sparing, scheme, config.spare_fraction, config.swr_fraction
@@ -88,7 +88,6 @@ def _study(engine, config, replicas, scheme, trials_per_task=None):
         config=config,
         replicas=replicas,
         engine=engine,
-        trials_per_task=trials_per_task,
         metrics=metrics,
         jobs=1,
     )

@@ -7,7 +7,7 @@ substrate the evaluation depends on: the Zhang-Li endurance-variation
 model, an NVM bank simulator, the baseline wear-leveling schemes (TLSR,
 PCM-S, BWL, WAWL, Start-Gap, Toss-up), the baseline sparing schemes
 (PCD, PS), the closed-form lifetime analysis, and a lifetime simulator
-with fluid and exact engines.
+with a fluid engine and exact oracles.
 
 Quickstart::
 

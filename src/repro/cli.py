@@ -24,10 +24,6 @@ from repro.analysis.lifetime import (
     ps_worst_normalized,
     uaa_fraction,
 )
-from repro.attacks.bpa import BirthdayParadoxAttack
-from repro.attacks.repeated import RepeatedAddressAttack
-from repro.attacks.uaa import UniformAddressAttack
-from repro.core.maxwe import MaxWE
 from repro.core.overhead import mapping_overhead_report, paper_overhead_geometry
 from repro.obs.metrics import MetricsRegistry, maybe_span
 from repro.obs.sink import build_manifest, profile_report, write_metrics
@@ -40,7 +36,7 @@ from repro.sim.experiments import (
     uaa_scheme_comparison,
 )
 from repro.sim.faults import FAULT_SPEC_ENV, FaultSpec, FaultSpecError
-from repro.sim.lifetime import ENGINES, simulate_lifetime
+from repro.sim.lifetime import ENGINES, normalize_engine, simulate_lifetime
 from repro.verify.invariants import PARANOIA_LEVELS, InvariantViolation
 from repro.sim.resilience import (
     Checkpoint,
@@ -49,9 +45,7 @@ from repro.sim.resilience import (
     SimulationFailure,
     derive_checkpoint_path,
 )
-from repro.sparing.none import NoSparing
-from repro.sparing.pcd import PCD
-from repro.sparing.ps import PS
+from repro.sim.runner import SimTask, build_attack, build_sparing
 from repro.util.stats import geometric_mean
 from repro.util.tables import render_table
 from repro.util.validation import (
@@ -84,48 +78,22 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2019, help="experiment seed")
 
 
-def _jobs_count(value: str) -> int:
+def _engine_arg(value: str) -> str:
     try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {value!r}")
-    if jobs < 0:
-        raise argparse.ArgumentTypeError("jobs must be >= 0 (0 = all CPUs)")
-    return jobs
+        return normalize_engine(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
+        type=_engine_arg,
         choices=ENGINES,
         default="fluid-batched",
-        help="lifetime engine: vectorized epoch kernel (default), the "
-        "scalar event loop kept for differential testing, or the "
-        "trial-stacked ensemble that advances many runs per kernel pass "
+        help="lifetime engine: the epoch kernel run by run (default), or "
+        "trial-stacked into chunks sized from the run count and --jobs "
         "(bit-identical per run)",
-    )
-
-
-def _trials_per_task_arg(value: str) -> int:
-    try:
-        trials = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"trials-per-task must be an integer, got {value!r}"
-        )
-    if trials < 1:
-        raise argparse.ArgumentTypeError("trials-per-task must be >= 1")
-    return trials
-
-
-def _add_trials_per_task_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trials-per-task",
-        type=_trials_per_task_arg,
-        default=None,
-        metavar="N",
-        help="runs per ensemble chunk with --engine fluid-ensemble "
-        "(default: auto-sized from the run count and --jobs)",
     )
 
 
@@ -152,9 +120,9 @@ def _add_verify_arguments(parser: argparse.ArgumentParser) -> None:
         type=fraction_arg,
         default=0.0,
         metavar="P",
-        help="probability of differentially re-running a fluid-batched "
-        "simulation on the exact reference engine and escalating any "
-        "divergence (deterministic per-task sampling)",
+        help="probability of differentially re-running a simulation on "
+        "the scalar oracle (exact_lifetime) and escalating any divergence "
+        "(deterministic per-task sampling)",
     )
 
 
@@ -186,7 +154,7 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     _add_verify_arguments(parser)
     parser.add_argument(
         "--jobs",
-        type=_jobs_count,
+        type=nonnegative_int_arg,
         default=1,
         help="worker processes for independent simulations (0 = all CPUs)",
     )
@@ -437,7 +405,6 @@ def _run_options(
     """
     return {
         "jobs": args.jobs,
-        "trials_per_task": args.trials_per_task,
         "cache": _cache_from(args),
         "engine": args.engine,
         "policy": _policy_from(args),
@@ -477,33 +444,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_attack(name: str):
-    if name == "uaa":
-        return UniformAddressAttack()
-    if name == "bpa":
-        return BirthdayParadoxAttack()
-    if name == "repeated":
-        return RepeatedAddressAttack()
-    raise ValueError(f"unknown attack {name!r}")
-
-
-def _make_sparing(name: str, p: float, swr: float):
-    if name == "none":
-        return NoSparing()
-    if name == "pcd":
-        return PCD(p)
-    if name == "ps":
-        return PS.average_case(p)
-    if name == "ps-worst":
-        return PS.worst_case(p)
-    if name == "max-we":
-        return MaxWE(p, swr)
-    raise ValueError(f"unknown sparing scheme {name!r}")
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.sim.runner import SimTask
-
     config = _config_from(args)
     metrics = _metrics_from(args)
     _install_faults(args)
@@ -779,7 +720,7 @@ def _cmd_record_trace(args: argparse.Namespace) -> int:
     from repro.trace.record import record_trace
 
     trace = record_trace(
-        _make_attack(args.attack), args.user_lines, args.length, rng=args.seed
+        build_attack(args.attack), args.user_lines, args.length, rng=args.seed
     )
     path = trace.save(args.output)
     print(f"recorded {len(trace)} writes from {trace.source!r} to {path}")
@@ -808,7 +749,7 @@ def _cmd_replay_trace(args: argparse.Namespace) -> int:
     config = _config_from(args)
     trace = WriteTrace.load(args.trace)
     emap = config.make_emap()
-    sparing = _make_sparing(args.sparing, args.p, args.swr)
+    sparing = build_sparing(args.sparing, args.p, args.swr)
     try:
         result = simulate_lifetime(
             emap, TraceAttack(trace), sparing, rng=config.seed, engine=args.engine
@@ -889,28 +830,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(sweep_spare)
     _add_runner_arguments(sweep_spare)
     _add_engine_argument(sweep_spare)
-    _add_trials_per_task_argument(sweep_spare)
     sweep_spare.set_defaults(handler=_cmd_sweep_spare)
 
     sweep_swr = subparsers.add_parser("sweep-swr", help="Figure 7 sweep")
     _add_config_arguments(sweep_swr)
     _add_runner_arguments(sweep_swr)
     _add_engine_argument(sweep_swr)
-    _add_trials_per_task_argument(sweep_swr)
     sweep_swr.set_defaults(handler=_cmd_sweep_swr)
 
     compare_uaa = subparsers.add_parser("compare-uaa", help="Section 5.3.1 table")
     _add_config_arguments(compare_uaa)
     _add_runner_arguments(compare_uaa)
     _add_engine_argument(compare_uaa)
-    _add_trials_per_task_argument(compare_uaa)
     compare_uaa.set_defaults(handler=_cmd_compare_uaa)
 
     compare_bpa = subparsers.add_parser("compare-bpa", help="Figure 8 comparison")
     _add_config_arguments(compare_bpa)
     _add_runner_arguments(compare_bpa)
     _add_engine_argument(compare_bpa)
-    _add_trials_per_task_argument(compare_bpa)
     compare_bpa.set_defaults(handler=_cmd_compare_bpa)
 
     overhead = subparsers.add_parser("overhead", help="Section 5.3.2 overhead")
@@ -927,7 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(batch)
     _add_runner_arguments(batch)
     _add_engine_argument(batch)
-    _add_trials_per_task_argument(batch)
     batch.add_argument(
         "--output", type=str, default=None, help="also archive results as JSON"
     )

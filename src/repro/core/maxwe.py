@@ -632,9 +632,10 @@ class MaxWEStackedState(BatchedSchemeState):
     Every ``fluid-batched`` and ``fluid-ensemble`` run of the paper
     configuration starts from this state when paranoia guards are off:
     the RMT/LMT tables that :meth:`MaxWE.check_integrity` audits are
-    deliberately not maintained here, so guarded and ``fluid-exact``
-    runs keep real :class:`MaxWE` instances, the reference this state
-    is tested against.
+    deliberately not maintained here, so guarded runs and the scalar
+    oracle (:func:`~repro.sim.reference.exact_lifetime`) keep real
+    :class:`MaxWE` instances, the reference this state is tested
+    against.
     """
 
     def __init__(

@@ -29,6 +29,7 @@ from repro.service.core import ServiceConfig, SimService
 from repro.service.http import ServiceServer
 from repro.service.queue import TenantQuota
 from repro.sim.faults import mark_service_process
+from repro.sim.lifetime import ENGINES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution backend for every batch",
     )
     parser.add_argument(
-        "--engine", default="fluid-batched", help="default lifetime engine"
+        "--engine", choices=ENGINES, default="fluid-batched",
+        help="default lifetime engine",
     )
     parser.add_argument(
         "--max-queued", type=int, default=64,

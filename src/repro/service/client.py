@@ -201,7 +201,6 @@ class ServiceClient:
         *,
         tenant: str = "default",
         engine: Optional[str] = None,
-        trials_per_task: Optional[int] = None,
         deadline_seconds: Optional[float] = None,
     ) -> dict:
         """Submit a batch; returns the job document (``job_id`` inside).
@@ -216,8 +215,6 @@ class ServiceClient:
             payload["config"] = dict(config)
         if engine is not None:
             payload["engine"] = engine
-        if trials_per_task is not None:
-            payload["trials_per_task"] = trials_per_task
         if deadline_seconds is not None:
             payload["deadline_seconds"] = deadline_seconds
         for attempt in range(self.retries + 1):

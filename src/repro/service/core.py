@@ -46,7 +46,6 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.faults import CRASH_EXIT_CODE, active_injector
 from repro.sim.lifetime import normalize_engine
 from repro.sim.resilience import ResiliencePolicy, derive_checkpoint_path
-from repro.util.validation import require_positive_int
 
 #: Default service state directory (job records, ledgers, shared cache).
 DEFAULT_STATE_DIR = ".repro-service"
@@ -55,9 +54,8 @@ DEFAULT_STATE_DIR = ".repro-service"
 #: ``deadline_seconds`` is deliberately NOT an option: options feed the
 #: batch key, and a deadline is a property of the *request*, not of what
 #: the batch computes -- two tenants asking for the same batch under
-#: different deadlines must still coalesce.  For the same reason
-#: ``trials_per_task`` (the ensemble chunk size) is left out of the key.
-_OPTION_FIELDS = ("engine", "trials_per_task")
+#: different deadlines must still coalesce.
+_OPTION_FIELDS = ("engine",)
 
 #: Most specs one submission may carry (with the device-size limit in
 #: :data:`repro.sim.config.MAX_TOTAL_LINES`, this bounds a request's work).
@@ -86,7 +84,11 @@ class ServiceUnavailable(RuntimeError):
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Static configuration of one service instance."""
+    """Static configuration of one service instance.
+
+    ``engine`` (the default for submissions that name none) is checked
+    here, so a bad default fails at startup rather than in every job.
+    """
 
     state_dir: "str | Path" = DEFAULT_STATE_DIR
     jobs: int = 1
@@ -96,6 +98,9 @@ class ServiceConfig:
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
     policy: Optional[ResiliencePolicy] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "engine", normalize_engine(self.engine))
 
 
 class SimService:
@@ -226,10 +231,7 @@ class SimService:
         try:
             if payload.get("engine") is not None:
                 options["engine"] = normalize_engine(payload["engine"])
-            if payload.get("trials_per_task") is not None:
-                require_positive_int(payload["trials_per_task"], "trials_per_task")
-                options["trials_per_task"] = payload["trials_per_task"]
-        except (TypeError, ValueError) as error:
+        except ValueError as error:
             raise ValidationError(f"bad option: {error}") from error
         deadline: Optional[float] = None
         if payload.get("deadline_seconds") is not None:
@@ -264,11 +266,7 @@ class SimService:
             self._count("service.drain_rejections")
             raise ServiceUnavailable("service is draining; not admitting work")
         specs, config, options, deadline = self._validate(payload)
-        key = batch_key(
-            config,
-            {name: value for name, value in options.items() if name != "trials_per_task"},
-            specs,
-        )
+        key = batch_key(config, options, specs)
         job = Job(
             tenant=tenant, specs=specs, config=config,
             options=options, batch_key=key, deadline_seconds=deadline,
@@ -456,7 +454,6 @@ class SimService:
             policy=self.config.policy,
             checkpoint=ledger,
             metrics=registry,
-            trials_per_task=options.get("trials_per_task"),
             backend=self.config.backend,
             on_result=on_result,
         )

@@ -51,7 +51,7 @@ class Job:
     config:
         Device-configuration overrides, as a plain dict.
     options:
-        Execution options (engine, trials_per_task, ...).
+        Execution options (``engine``).
     batch_key:
         Content key of (config, options, specs) -- the dedup identity
         shared with the result store.

@@ -83,11 +83,6 @@ class JobQueue:
         """The quota governing ``tenant``."""
         return self._quotas.get(tenant, self._default_quota)
 
-    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        """Install a per-tenant quota override."""
-        with self._condition:
-            self._quotas[tenant] = quota
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------

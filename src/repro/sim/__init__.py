@@ -8,18 +8,22 @@ divided by the summed endurance of all memory lines.
 Two simulators are provided:
 
 * :class:`~repro.sim.lifetime.LifetimeSimulator` -- the fluid
-  (mean-field) engine, in two interchangeable implementations (see
-  :data:`~repro.sim.lifetime.ENGINES`): the vectorized ``fluid-batched``
-  epoch kernel (default) and the scalar ``fluid-exact`` event loop kept
-  for differential testing.  Wear-leveling schemes contribute their
-  stationary wear distribution, sparing schemes handle deaths through the
-  batched (or scalar) replacement API, and lifetimes are computed exactly
-  under the stationary approximation.  This is what all benchmark
-  figures use.
+  (mean-field) engine: the vectorized epoch kernel, run solo
+  (``fluid-batched``, the default) or trial-stacked by the runner
+  (``fluid-ensemble``; see :data:`~repro.sim.lifetime.ENGINES`).
+  Wear-leveling schemes contribute their stationary wear distribution,
+  sparing schemes handle deaths through the batched replacement API,
+  and lifetimes are computed exactly under the stationary
+  approximation.  This is what all benchmark figures use.
 * :class:`~repro.sim.reference.ReferenceSimulator` -- an exact per-write
   simulator over a real :class:`~repro.device.bank.NVMBank` with real
   wear-leveling mechanisms.  Slow, so used on small devices to validate
   the fluid engine (see ``tests/sim/test_fluid_vs_reference.py``).
+
+:func:`~repro.sim.reference.exact_lifetime` is the fluid model's
+oracle: the same run advanced by a scalar event loop, one death at a
+time.  The shadow audit (``shadow_sample``) and the differential tests
+check the kernel against it.
 
 :mod:`repro.sim.experiments` holds the paper's experiment configurations
 and the sweep drivers behind Figures 6-8.
@@ -33,7 +37,7 @@ from repro.sim.lifetime import (
     normalize_engine,
     simulate_lifetime,
 )
-from repro.sim.reference import ReferenceSimulator
+from repro.sim.reference import ReferenceSimulator, exact_lifetime
 from repro.sim.result import SimulationResult
 from repro.sim.runner import (
     CallableTask,
@@ -61,6 +65,7 @@ __all__ = [
     "normalize_engine",
     "simulate_lifetime",
     "ReferenceSimulator",
+    "exact_lifetime",
     "SimulationResult",
     "CallableTask",
     "RunnerStats",

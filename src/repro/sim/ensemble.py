@@ -24,10 +24,10 @@ one engine invocation:
   (endurance-aware wear-levelers' distinct weights).
 
 The module also owns the one place a fluid run is initialized,
-:func:`simulate_ensemble`, and the one batched epoch kernel,
+:func:`simulate_ensemble`, and the one epoch kernel,
 :func:`_advance_trial`.  A solo run is a one-member ensemble:
-:class:`~repro.sim.lifetime.LifetimeSimulator` hands every engine's run
-here as a one-member call that names its engine, so a solo
+:class:`~repro.sim.lifetime.LifetimeSimulator` hands every run here as
+a one-member call that names its engine, so a solo
 ``fluid-batched`` run and an ensemble trial of the same seed start from
 the same scheme state and execute the same loop on the same values.
 Results therefore split back into per-trial
@@ -37,16 +37,16 @@ only ``metadata["engine"]`` differs -- independent of how members are
 grouped, which the differential tests pin.  The kernel picks its
 epoch-selection strategy from what it observes of the trial (see
 :func:`_advance_trial` and ``docs/fluid_engine.md``, "Kernel regimes").
-``fluid-exact`` runs take the same per-trial arrays into the scalar
-event loop, always on real initialized schemes.
+The oracle, :func:`~repro.sim.reference.exact_lifetime`, builds the same
+per-trial arrays (:func:`_init_trial`) for its scalar event loop.
 
 Trials that die early simply stop: advancement is per-trial over the
 stacked state, so a trial failing in epoch 0 contributes no further
 work.  Paranoia guards are supported through the fallback scheme state
 (one :class:`~repro.verify.invariants.EngineGuard` per trial, views
 tagged with the trial index).  The sampled shadow audit is one step per
-member: after a batched member finishes, it may be re-executed on
-``fluid-exact`` and compared.
+member: after a member finishes, it may be re-executed on the oracle
+and compared.
 """
 
 from __future__ import annotations
@@ -364,11 +364,21 @@ def _shadow_audit(
     repro: dict,
     metrics: Optional[MetricsRegistry],
 ) -> None:
-    """Re-run ``member`` on the exact reference engine and compare results."""
+    """Re-run ``member`` on the exact oracle and compare results."""
+    from repro.sim.reference import exact_lifetime
+
     with maybe_span(metrics, "verify/shadow"):
         if metrics is not None:
             metrics.inc("verify.shadow_audits")
-        [reference] = simulate_ensemble([member], engine="fluid-exact")
+        reference = exact_lifetime(
+            member.emap,
+            member.attack,
+            member.sparing,
+            member.wearleveler,
+            member.fault_model,
+            member.rng,
+            record_timeline=False,
+        )
         try:
             compare_runs(primary, reference, rounds=primary.deaths, repro=repro)
         except InvariantViolation:
@@ -389,27 +399,21 @@ def simulate_ensemble(
 ) -> List[SimulationResult]:
     """Advance every member to device failure; one result per member.
 
-    The one place a fluid run is initialized: a solo
+    The one place an engine run is initialized: a solo
     :class:`~repro.sim.lifetime.LifetimeSimulator` run is a one-member
-    call, ``engine`` names the engine its results report.  Batched
-    engines run the epoch kernel on the stacked scheme state when one
-    applies; ``fluid-exact`` runs the scalar event loop on real
-    initialized schemes.  Results are index-aligned with ``members``
-    and bit-identical to one-member calls of the same members
-    (``metadata["engine"]`` aside), independent of how members are
-    grouped.
+    call, ``engine`` names the engine its results report.  Every member
+    runs the epoch kernel, on the stacked scheme state when one applies
+    and no paranoia guard needs real schemes.  Results are index-aligned
+    with ``members`` and bit-identical to one-member calls of the same
+    members (``metadata["engine"]`` aside), independent of how members
+    are grouped.
 
-    Each member of a batched engine is re-executed on ``fluid-exact``
-    with probability ``shadow_sample`` (deterministic in its integrity
-    key) and escalates a divergence as a
-    :class:`~repro.verify.shadow.ShadowDivergence`.
+    Each member is re-executed on
+    :func:`~repro.sim.reference.exact_lifetime` with probability
+    ``shadow_sample`` (deterministic in its integrity key) and escalates
+    a divergence as a :class:`~repro.verify.shadow.ShadowDivergence`.
     """
-    from repro.sim.lifetime import (
-        _run_exact,
-        accounting_tolerance,
-        build_result,
-        normalize_engine,
-    )
+    from repro.sim.lifetime import accounting_tolerance, build_result, normalize_engine
 
     if not members:
         raise ValueError("an ensemble needs at least one member")
@@ -426,12 +430,10 @@ def simulate_ensemble(
                     "re-executes each member from scratch, which a stateful "
                     "Generator (or None) cannot reproduce deterministically"
                 )
-    exact = engine == "fluid-exact"
 
     with maybe_span(metrics, "sim/init"):
-        # Stacked scheme state skips the RMT/LMT ledgers the guards
-        # audit, and the exact engine is the oracle it is tested against.
-        state = initialize_schemes(members, stacked=paranoia == "off" and not exact)
+        # Stacked scheme state skips the RMT/LMT ledgers the guards audit.
+        state = initialize_schemes(members, stacked=paranoia == "off")
 
     injector = active_injector()
     corruptor: Optional[FaultInjector] = (
@@ -493,7 +495,7 @@ def simulate_ensemble(
                     guard.start(trial.backing)
 
             with maybe_span(metrics, "sim/kernel"):
-                outcome = (_run_exact if exact else _advance_trial)(
+                outcome = _advance_trial(
                     state,
                     index,
                     endurance=trial.endurance,
@@ -521,11 +523,7 @@ def simulate_ensemble(
                 metrics=metrics,
                 **describe,
             )
-            if (
-                shadow_sample > 0.0
-                and not exact
-                and should_audit(shadow_sample, integrity_key)
-            ):
+            if shadow_sample > 0.0 and should_audit(shadow_sample, integrity_key):
                 _shadow_audit(member, result, repro, metrics)
         except InvariantViolation as violation:
             write_violation_bundle(violation)
@@ -560,7 +558,8 @@ def _advance_trial(
     """Advance one trial to device failure: the batched epoch kernel.
 
     Every ``fluid-batched`` run (as the one trial of a one-member
-    ensemble) and every ``fluid-ensemble`` trial runs this loop.  Each pass selects the next
+    ensemble) and every ``fluid-ensemble`` trial runs this loop.  Each
+    pass selects the next
     chronologically safe epoch of deaths, decides it in one
     ``replace_batch`` call and integrates the served writes of the epoch
     with a cumulative sum.  The floor is fetched once before the loop;

@@ -1,7 +1,7 @@
-"""Incremental death-frontier index for the fluid lifetime engines.
+"""Incremental death-frontier index for the fluid lifetime kernel and oracle.
 
-Both engines repeatedly answer one question: *which slots die next?*
-The scalar engine keeps a heap; the batched engine rescans the whole
+Both loops repeatedly answer one question: *which slots die next?*
+The scalar oracle keeps a heap; the batched kernel rescans the whole
 ``current_death`` array per epoch, which degenerates to O(slots) per
 death under concentrated-wear attacks (BPA) where every epoch holds a
 single death.  :class:`DeathFrontier` makes that question incremental:
@@ -9,7 +9,7 @@ single death.  :class:`DeathFrontier` makes that question incremental:
 * a **lazy-deletion binary heap** of ``(death time, slot)`` tuples whose
   comparison order is exactly the batched kernel's
   ``np.lexsort((slots, times))`` -- tuple comparison breaks time ties by
-  slot id -- and exactly the scalar engine's heap order;
+  slot id -- and exactly the scalar oracle's heap order;
 * **staleness by consultation**: the engine mutates its authoritative
   ``current_death`` array as it always did, and an entry is valid only
   while its recorded time still equals the array's (removed slots go to
@@ -21,7 +21,7 @@ single death.  :class:`DeathFrontier` makes that question incremental:
   below the sentinel provably sees the full array's selection.  When the
   work set drains, it is rebuilt from the array (a *refresh*); when the
   heap outgrows its cap with stale entries, it is rebuilt in place (a
-  *compaction* -- the scalar engine's historical ``heap_compactions``).
+  *compaction* -- the scalar oracle's historical ``heap_compactions``).
 
 :meth:`pop_epoch` pops one chronologically safe epoch in exact
 ``(time, slot)`` order, or returns ``None`` whenever it cannot *prove*
@@ -61,12 +61,12 @@ class DeathFrontier:
     cap:
         Heap length that triggers a compaction rebuild.  Defaults to
         twice the work-set bound (or twice the slot count, unbounded).
-        The scalar engine passes ``slots * HEAP_SLACK`` to preserve its
+        The scalar oracle passes ``slots * HEAP_SLACK`` to preserve its
         historical compaction cadence.
     alive:
         Optional boolean liveness mask sharing the array's indexing;
         entries of non-alive slots are stale and rebuilds skip them
-        (the scalar engine's semantics).  Only supported unbounded.
+        (the scalar oracle's semantics).  Only supported unbounded.
     """
 
     __slots__ = (

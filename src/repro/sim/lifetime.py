@@ -16,36 +16,35 @@ writes is the integral above.  The exact per-write
 :class:`~repro.sim.reference.ReferenceSimulator` validates the
 approximation end to end in the test suite.
 
-Every run, whatever its engine, is a one-member
-:func:`~repro.sim.ensemble.simulate_ensemble` call: that function is
-the one place a run's scheme state and per-trial arrays are built.  Two
-engines then advance the trial:
+Every run is a one-member :func:`~repro.sim.ensemble.simulate_ensemble`
+call: that function is the one place a run's scheme state and per-trial
+arrays are built, and :func:`repro.sim.ensemble._advance_trial` -- the
+vectorized epoch kernel -- is the one loop that advances them.  Death
+times live in one numpy array; each epoch selects the next batch of
+deaths, trims it to a *chronologically safe prefix*, decides the whole
+prefix in one :meth:`~repro.sparing.base.SpareScheme.replace_batch`
+call, and integrates the served writes of the epoch with a cumulative
+sum.  The two engine names (:data:`ENGINES`) differ only in dispatch:
+a ``fluid-batched`` run is the one-trial case of the ``fluid-ensemble``
+engine, which the runner stacks into chunks of many trials.
 
-* ``fluid-exact`` -- the scalar event loop (:func:`_run_exact`): a heap
-  of death times, one scalar ``replace`` call per death, always on a
-  real initialized scheme.  It is the reference the shadow audit
-  re-executes runs against.
-* ``fluid-batched`` (default) -- the vectorized epoch kernel,
-  :func:`repro.sim.ensemble._advance_trial`: death times live in one
-  numpy array; each epoch selects the next batch of deaths, trims it
-  to a *chronologically safe prefix*, decides the whole prefix in one
-  :meth:`~repro.sparing.base.SpareScheme.replace_batch` call, and
-  integrates the served writes of the epoch with a cumulative sum.  A
-  solo run is the one-trial case of the ``fluid-ensemble`` engine: the
-  same scheme state (stacked when the scheme has one) and the same
-  loop, as trial 0.
+The scalar event loop -- a heap of death times, one scalar ``replace``
+call per death, always on a real initialized scheme -- is not an
+engine but the verification oracle,
+:func:`~repro.sim.reference.exact_lifetime`: the shadow audit
+(``--shadow-sample``) and the differential tests re-execute runs on it.
 
 The safe prefix is what keeps batching exact rather than approximate.
-From a batch sorted by ``(death time, slot)`` -- the same order the heap
-pops -- only deaths with ``v < v_first + floor / w_max`` are processed
-together, where ``floor`` is the scheme's lower bound on the wear budget
+From a batch sorted by ``(death time, slot)`` -- the same order the
+oracle's heap pops -- only deaths with ``v < v_first + floor / w_max``
+are processed together, where ``floor`` is the scheme's lower bound on the wear budget
 any single replacement adds (:meth:`SpareScheme.replacement_extra_floor`)
 and ``w_max`` the largest wear weight among still-prone slots.  Within
 such a window no replacement can push its slot's *next* death back
 inside the window, so deciding the prefix in one call observes exactly
 the event order the scalar loop would.  Death times themselves are
-computed with the same float expression in both engines, so death and
-replacement counts agree exactly; only the summation order of the
+computed with the same float expression in the kernel and the oracle,
+so death and replacement counts agree exactly; only the summation order of the
 served-writes integral differs (agreement to ~1e-12 relative, tested at
 1e-9).
 
@@ -71,14 +70,10 @@ processed deaths), ``sequential_rounds`` (frontier-served passes),
 ``regime_switches`` (transitions either way), and ``full_scans``
 (value-partition passes); the same names land in the metrics
 registry as ``sim.*`` counters next to a ``sim.epoch_size`` histogram.
-``fluid-exact`` routes its heap through the same index, so its
-compaction rebuilds stopped rescanning the device (``heap_compactions``
-keeps its historical meaning).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from typing import Optional
 
@@ -89,38 +84,23 @@ from repro.device.faults import FaultModel
 from repro.endurance.emap import EnduranceMap
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.ensemble import EnsembleMember, simulate_ensemble
-from repro.sim.faults import FaultInjector
-from repro.sim.frontier import DeathFrontier
-from repro.sim.result import SimulationResult, TimelineEvent
+from repro.sim.result import SimulationResult
 from repro.sparing.base import (
     BATCH_EXTEND,
     BATCH_FAIL,
     BATCH_REMOVE,
     BATCH_REPLACE,
-    BatchedSchemeState,
-    ExtendBudget,
-    FailDevice,
-    RemoveSlot,
-    ReplaceWith,
     SpareScheme,
 )
 from repro.util.rng import RandomState
-from repro.verify.invariants import EngineGuard
 from repro.wearlevel.base import WearLeveler
 
 #: Engine names accepted by :class:`LifetimeSimulator` and the CLI.
-#: ``fluid-ensemble`` runs the batched epoch kernel but advances many
-#: Monte-Carlo trials per invocation (see :mod:`repro.sim.ensemble`);
-#: a single run on it is bit-identical to ``fluid-batched``.
-ENGINES = ("fluid-batched", "fluid-exact", "fluid-ensemble")
-
-#: Historical aliases for engine names.
-_ENGINE_ALIASES = {"fluid": "fluid-exact"}
-
-#: The scalar engine compacts its heap when it outgrows ``slots`` by this
-#: factor (stale entries from repeated replacements); kept as a module
-#: constant so tests can force compaction.
-HEAP_SLACK = 2
+#: Both run the batched epoch kernel; ``fluid-ensemble`` lets the runner
+#: advance many Monte-Carlo trials per invocation (see
+#: :mod:`repro.sim.ensemble`), and a single run on it is bit-identical
+#: to ``fluid-batched``.
+ENGINES = ("fluid-batched", "fluid-ensemble")
 
 #: Upper bound on deaths pulled into one epoch of the batched engine.
 BATCH_LIMIT = 4096
@@ -135,7 +115,7 @@ SEQUENTIAL_ENTER_STREAK = 4
 #: vectorized scan.  Must stay strictly below ``BATCH_LIMIT``: a frontier
 #: epoch smaller than ``BATCH_LIMIT`` is provably the exact vectorized
 #: selection, while at ``BATCH_LIMIT`` the argpartition tie-trim could
-#: reshape it (see :meth:`DeathFrontier.pop_epoch`).
+#: reshape it (see :meth:`~repro.sim.frontier.DeathFrontier.pop_epoch`).
 SEQUENTIAL_EPOCH_CAP = 64
 
 #: Work-set size of the sequential regime's death-frontier index.
@@ -153,11 +133,18 @@ _ACTION_NAMES = {
 
 
 def normalize_engine(engine: str) -> str:
-    """Resolve an engine name (accepting aliases) or raise ``ValueError``."""
-    resolved = _ENGINE_ALIASES.get(engine, engine)
-    if resolved not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return resolved
+    """Return ``engine`` if it names an engine, else raise ``ValueError``.
+
+    The message points the former ``fluid-exact`` engine (alias
+    ``fluid``) at its place as the oracle.
+    """
+    if engine not in ENGINES:
+        raise ValueError(
+            f"engine must be one of {ENGINES}, got {engine!r} (the scalar "
+            "event loop is the verification oracle repro.sim.exact_lifetime; "
+            "re-check runs on it with --shadow-sample)"
+        )
+    return engine
 
 
 def accounting_tolerance(scale: float, events: int) -> float:
@@ -256,153 +243,11 @@ def build_result(
     )
 
 
-def _run_exact(
-    state: BatchedSchemeState,
-    trial: int,
-    *,
-    endurance: np.ndarray,
-    backing: np.ndarray,
-    weights: np.ndarray,
-    eta: float,
-    current_death: np.ndarray,
-    min_user_slots: int,
-    active_weight: float,
-    w_max: float,
-    guard: Optional[EngineGuard],
-    corruptor: Optional[FaultInjector],
-    integrity_key: str,
-    total_endurance: float,
-    record_timeline: bool,
-    max_timeline_events: int,
-    w_scalar: Optional[float] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> tuple[float, int, int, str, list[TimelineEvent], dict]:
-    """Advance one trial to device failure: the ``fluid-exact`` event loop.
-
-    Takes the kernel's arguments (``w_max``, ``w_scalar`` and
-    ``metrics`` go unused) and decides one death at a time through
-    ``state.replace``, which the exact engine always backs with a real
-    initialized scheme.
-    """
-    slots = backing.size
-    alive = np.ones(slots, dtype=bool)
-    # The shared death-frontier index is the historical heap: same
-    # (time, slot) entries, same lazy deletion, and its compaction
-    # cadence is pinned by the same ``slots * HEAP_SLACK`` cap -- but
-    # rebuilds reuse the index's single implementation instead of an
-    # ad-hoc flatnonzero reconstruction per overflow.
-    frontier = DeathFrontier(current_death, cap=slots * HEAP_SLACK, alive=alive)
-    served = 0.0
-    served_error = 0.0  # Kahan compensation for the served integral
-    v_now = 0.0
-    deaths = 0
-    rounds = 0
-    replacements = 0
-    failure_reason = _DEGENERATE_REASON
-    timeline: list[TimelineEvent] = []
-
-    def view():
-        assert guard is not None
-        return guard.make_view(
-            served=served,
-            v_now=v_now,
-            deaths=deaths,
-            backing=backing,
-            current_death=current_death,
-        )
-
-    def record(slot: int, dead_line: int, action: str, replacement: int | None) -> None:
-        if record_timeline and len(timeline) < max_timeline_events:
-            timeline.append(
-                TimelineEvent(
-                    writes_served=served,
-                    slot=slot,
-                    dead_line=dead_line,
-                    action=action,
-                    replacement_line=replacement,
-                )
-            )
-
-    while (entry := frontier.pop()) is not None:
-        v, slot = entry
-        rounds += 1
-        if corruptor is not None:
-            kind = corruptor.corrupt_state(integrity_key, rounds)
-            if kind is not None:
-                served = _apply_state_corruption(
-                    kind, served, backing, current_death, total_endurance
-                )
-                v = float(current_death[slot])
-        if guard is not None:
-            guard.on_round(view)
-        # Kahan-compensated accumulation: each increment is tiny
-        # relative to the running total late in long runs.
-        increment = (v - v_now) * active_weight * eta - served_error
-        fresh = served + increment
-        served_error = (fresh - served) - increment
-        served = fresh
-        v_now = v
-        deaths += 1
-        dead_line = int(backing[slot])
-
-        outcome = state.replace(trial, slot, dead_line)
-        if isinstance(outcome, ReplaceWith):
-            replacements += 1
-            if guard is not None:
-                guard.record_death(slot, dead_line, BATCH_REPLACE, line=outcome.line)
-            backing[slot] = outcome.line
-            extra = float(endurance[outcome.line])
-            new_death = v_now + extra / weights[slot]
-            current_death[slot] = new_death
-            frontier.push(slot, new_death)
-            record(slot, dead_line, "replaced", outcome.line)
-            continue
-        if isinstance(outcome, ExtendBudget):
-            replacements += 1
-            if guard is not None:
-                guard.record_death(slot, dead_line, BATCH_EXTEND, wear=outcome.wear)
-            new_death = v_now + outcome.wear / weights[slot]
-            current_death[slot] = new_death
-            frontier.push(slot, new_death)
-            record(slot, dead_line, "extended", None)
-            continue
-        if isinstance(outcome, RemoveSlot):
-            if guard is not None:
-                guard.record_death(slot, dead_line, BATCH_REMOVE)
-            alive[slot] = False
-            active_weight -= float(weights[slot])
-            current_death[slot] = math.inf
-            record(slot, dead_line, "removed", None)
-            live_count = int(alive.sum())
-            if live_count < min_user_slots:
-                failure_reason = (
-                    f"capacity degraded below user capacity "
-                    f"({live_count} < {min_user_slots} slots)"
-                )
-                break
-            continue
-        assert isinstance(outcome, FailDevice)
-        if guard is not None:
-            guard.record_death(slot, dead_line, BATCH_FAIL)
-        failure_reason = outcome.reason
-        record(slot, dead_line, "device-failed", None)
-        break
-    else:
-        if deaths > 0:
-            failure_reason = _EXHAUSTED_REASON
-
-    if guard is not None:
-        guard.final_check(view)
-    extra_meta = {"heap_compactions": frontier.compactions}
-    return served, deaths, replacements, failure_reason, timeline, extra_meta
-
-
 class LifetimeSimulator:
     """Fluid lifetime simulation of one device/attack/defence combination.
 
     A run is a one-member :func:`~repro.sim.ensemble.simulate_ensemble`
-    call on this simulator's engine, which owns initialization, guard
-    wiring and the shadow audit.
+    call, which owns initialization, guard wiring and the shadow audit.
 
     Parameters
     ----------
@@ -412,8 +257,8 @@ class LifetimeSimulator:
         Attack or workload model.
     sparing:
         Spare-line replacement scheme (fresh instance).  Runs that need a
-        real scheme -- ``fluid-exact``, paranoia guards, and schemes
-        without a stacked state -- initialize it; the others leave it
+        real scheme -- paranoia guards, and schemes without a stacked
+        state -- initialize it; the others leave it
         uninitialized and keep their bookkeeping in the stacked state.
     wearleveler:
         Wear-leveling scheme (fresh instance; attached here); defaults to
@@ -423,19 +268,18 @@ class LifetimeSimulator:
     rng:
         Master seed; forked deterministically into per-component streams.
     engine:
-        ``"fluid-batched"`` (vectorized epoch kernel, the default),
-        ``"fluid-exact"`` (scalar event loop, kept for differential
-        testing) or ``"fluid-ensemble"``.  All produce identical
-        death/replacement counts.
+        ``"fluid-batched"`` (the default) or ``"fluid-ensemble"``; both
+        run the epoch kernel and produce identical results (see
+        :data:`ENGINES`).
     record_timeline:
         Whether to record per-death :class:`TimelineEvent` entries.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`: the run
         records ``sim/init`` and ``sim/kernel`` spans plus deterministic
         counters (``sim.runs``, ``sim.ensembles``, ``sim.deaths``,
-        ``sim.replacements``, per-engine ``sim.epochs`` /
+        ``sim.replacements``, ``sim.epochs`` /
         ``sim.sequential_rounds`` / ``sim.regime_switches`` /
-        ``sim.full_scans`` / ``sim.heap_compactions``) and the
+        ``sim.full_scans``) and the
         ``sim.deaths_per_run`` and ``sim.epoch_size`` histograms (the
         latter makes the batched kernel's regime visible: 1-wide epochs
         are the sequential signature).  With verification enabled it
@@ -446,9 +290,9 @@ class LifetimeSimulator:
         ``"full"``); see :mod:`repro.verify.invariants`.  Checks never
         mutate state, so results are bit-identical across levels.
     shadow_sample:
-        Probability in ``[0, 1]`` that this run (when on a batched
-        engine) is differentially re-executed on the exact reference
-        engine, escalating divergence as a
+        Probability in ``[0, 1]`` that this run is differentially
+        re-executed on the :func:`~repro.sim.reference.exact_lifetime`
+        oracle, escalating divergence as a
         :class:`~repro.verify.shadow.ShadowDivergence`.  Sampling is
         deterministic in the task key; requires an integer ``rng`` seed
         so the shadow re-execution is exact.

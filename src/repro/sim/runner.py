@@ -81,7 +81,7 @@ from repro.sim.faults import (
     mark_worker_process,
     task_scope,
 )
-from repro.sim.ensemble import EnsembleMember, simulate_ensemble
+from repro.sim.ensemble import ENGINE_NAME, EnsembleMember, simulate_ensemble
 from repro.sim.lifetime import normalize_engine
 from repro.sim.resilience import (
     Checkpoint,
@@ -119,15 +119,12 @@ WEARLEVELERS: Tuple[str, ...] = (
 #: Below this many uncached tasks a process pool costs more than it saves.
 MIN_PARALLEL_TASKS: int = 2
 
-#: Engine name that opts a task into trial-stacked chunk execution.
-ENSEMBLE_ENGINE: str = "fluid-ensemble"
-
-#: Auto-sized ensemble chunks never exceed this many trials.  Every
+#: Ensemble chunks never exceed this many trials.  Every
 #: member's endurance map stays alive for the chunk's duration, so the
 #: cap bounds peak memory -- and measured throughput at the benchmark
 #: configuration (64k lines) degrades past ~32 trials per chunk as the
 #: chunk's working set outgrows the cache hierarchy, so the cap is also
-#: the empirical sweet spot.  An explicit ``trials_per_task`` overrides.
+#: the empirical sweet spot.
 MAX_AUTO_CHUNK: int = 32
 
 
@@ -1104,13 +1101,6 @@ class SimRunner:
         into (so one registry can span several runner calls plus CLI
         overhead).  When omitted the runner uses a private registry;
         either way the final snapshot lands in ``stats.metrics``.
-    trials_per_task:
-        Ensemble chunk size: consecutive tasks with the
-        ``"fluid-ensemble"`` engine and matching options are advanced
-        ``trials_per_task`` at a time by one stacked kernel pass (see
-        :mod:`repro.sim.ensemble`).  ``None`` (default) auto-sizes the
-        chunks to ``ceil(run / jobs)`` so pool parallelism and trial
-        stacking compose.  Irrelevant to other engines.
     backend:
         Execution backend: ``"pool"`` (default; local process pool),
         ``"fabric"`` (socket-served multi-host coordinator, see
@@ -1133,7 +1123,6 @@ class SimRunner:
         policy: Optional[ResiliencePolicy] = None,
         checkpoint: "Checkpoint | str | os.PathLike | None" = None,
         metrics: Optional[MetricsRegistry] = None,
-        trials_per_task: Optional[int] = None,
         backend: "str | ExecutorBackend | None" = None,
         on_result: Optional[Callable[[int, SimulationResult, float], None]] = None,
     ) -> None:
@@ -1144,11 +1133,6 @@ class SimRunner:
             checkpoint = Checkpoint(checkpoint, resume=True)
         self._checkpoint = checkpoint
         self._metrics = metrics
-        if trials_per_task is not None and trials_per_task < 1:
-            raise ValueError(
-                f"trials_per_task must be >= 1, got {trials_per_task}"
-            )
-        self._trials_per_task = trials_per_task
         self._backend = resolve_backend(backend)
         self._on_result = on_result
 
@@ -1173,11 +1157,6 @@ class SimRunner:
         return self._checkpoint
 
     @property
-    def trials_per_task(self) -> Optional[int]:
-        """Configured ensemble chunk size (``None`` = auto-sized)."""
-        return self._trials_per_task
-
-    @property
     def backend(self) -> ExecutorBackend:
         """The resolved execution backend."""
         return self._backend
@@ -1195,7 +1174,7 @@ class SimRunner:
         and task types are never mixed so each chunk preserves its
         type's historical component-construction order.
         """
-        if getattr(task, "engine", None) != ENSEMBLE_ENGINE:
+        if getattr(task, "engine", None) != ENGINE_NAME:
             return None
         return (
             type(task).__name__,
@@ -1207,10 +1186,12 @@ class SimRunner:
     def _chunk_ensembles(self, pending: List[SupervisedTask]) -> List[SupervisedTask]:
         """Fold consecutive ensemble-engine tasks into chunk states.
 
-        Chunks hold ``trials_per_task`` members each; with the knob unset
-        the size is ``ceil(run / jobs)`` (capped at
-        :data:`MAX_AUTO_CHUNK`) so one pass over the task list saturates
-        the process pool while still amortizing per-trial dispatch.
+        Consecutive tasks with the ``"fluid-ensemble"`` engine and
+        matching options are advanced by one stacked kernel pass per
+        chunk (see :mod:`repro.sim.ensemble`).  A chunk holds
+        ``ceil(run / jobs)`` members (capped at :data:`MAX_AUTO_CHUNK`)
+        so one pass over the task list saturates the process pool while
+        still amortizing per-trial dispatch.
         Checkpoint- and cache-served members never reach this point, so a
         resumed run re-chunks only the remaining members.
         """
@@ -1222,9 +1203,7 @@ class SimRunner:
             nonlocal run, run_group
             if not run:
                 return
-            size = self._trials_per_task
-            if size is None:
-                size = min(-(-len(run) // self._jobs), MAX_AUTO_CHUNK)
+            size = min(-(-len(run) // self._jobs), MAX_AUTO_CHUNK)
             for start in range(0, len(run), size):
                 group = run[start : start + size]
                 if len(group) == 1:
@@ -1524,8 +1503,8 @@ def run_tasks(
         results are bit-identical across levels.
 
     Every other keyword goes to :class:`SimRunner` (``jobs``, ``cache``,
-    ``policy``, ``checkpoint``, ``metrics``, ``trials_per_task``,
-    ``backend``, ``on_result``); an unknown one raises ``TypeError``.
+    ``policy``, ``checkpoint``, ``metrics``, ``backend``,
+    ``on_result``); an unknown one raises ``TypeError``.
     Results come back in task order.
     """
     stamped = [

@@ -33,8 +33,9 @@ fall back to one-death-at-a-time delivery.
 through :class:`BatchedSchemeState` -- a solo run is a one-member
 ensemble (see ``sim/ensemble.py``): per-trial state stacked into arrays,
 with a :class:`FallbackSchemeState` wrapping real per-trial instances
-for any scheme without a stacked implementation, and for every run the
-paranoia guards or the ``fluid-exact`` engine drive.
+for any scheme without a stacked implementation, for every run the
+paranoia guards drive, and for the scalar oracle
+(:func:`~repro.sim.reference.exact_lifetime`).
 """
 
 from __future__ import annotations
@@ -508,7 +509,7 @@ class BatchedSchemeState(ABC):
         """Trial-``trial`` equivalent of :meth:`SpareScheme.replace`.
 
         The kernel's one-death epochs (the BPA sequential regime) and the
-        ``fluid-exact`` event loop decide deaths one at a time through it.
+        oracle's scalar event loop decide deaths one at a time through it.
         """
 
     @abstractmethod

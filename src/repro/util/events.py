@@ -79,10 +79,6 @@ class EventLog:
             return list(self._events)
         return [event for event in self._events if event.kind == kind]
 
-    def to_dicts(self, kind: str | None = None) -> List[dict]:
-        """Retained events as JSON-serializable dicts (for reports/logs)."""
-        return [event.to_dict() for event in self.events(kind)]
-
     def __iter__(self) -> Iterator[SimEvent]:
         return iter(self._events)
 

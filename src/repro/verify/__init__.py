@@ -7,7 +7,7 @@ Three layers of defence against silently corrupted simulator state:
   (``paranoia={off,cheap,full}``), raising a structured
   :class:`InvariantViolation` on the first failed predicate;
 * :mod:`repro.verify.shadow` -- sampled differential audits re-running
-  the batched engine against the exact reference engine and escalating
+  the batched engine on the exact scalar oracle and escalating
   divergence as a violation with a pinned repro key;
 * :mod:`repro.verify.snapshot` -- ``.repro-debug/`` crash-dump bundles
   written on violation or unexpected worker death, deterministically

@@ -1,11 +1,11 @@
 """Sampled differential shadow audits of the batched engine.
 
-PR2 proved the vectorized ``fluid-batched`` kernel equivalent to the
-scalar ``fluid-exact`` event loop with an offline Hypothesis suite; this
-module turns that equivalence into an *always-on production check*.  At
-a configurable sample rate, a run of the batched engine is transparently
-re-executed on the exact reference engine and the two results are
-compared; any divergence escalates as a :class:`ShadowDivergence`
+The differential suites prove the vectorized epoch kernel equivalent to
+the scalar event loop (:func:`~repro.sim.reference.exact_lifetime`,
+whose results report engine ``fluid-exact``); this module turns that
+equivalence into an *always-on production check*.  At a configurable
+sample rate, a run is transparently re-executed on that oracle and the
+two results are compared; any divergence escalates as a :class:`ShadowDivergence`
 carrying a pinned repro key (seed, scheme, engine pair, round window) so
 the failing run can be replayed byte-for-byte.
 
@@ -37,7 +37,7 @@ _EXACT_FIELDS = ("deaths", "replacements", "failure_reason")
 
 
 class ShadowDivergence(InvariantViolation):
-    """The batched engine and the exact reference engine disagreed."""
+    """The batched engine and the exact scalar oracle disagreed."""
 
 
 def should_audit(sample: float, key: str) -> bool:

@@ -335,8 +335,8 @@ class TestKillAndResume:
             "16384",
             "--lines-per-region",
             "16",
-            "--engine",
-            "fluid-exact",
+            "--paranoia",
+            "full",
             "--no-cache",
             "--resume",
         ]

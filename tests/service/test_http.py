@@ -103,22 +103,31 @@ class TestEndToEnd:
 
 
 class TestDedupOptions:
-    def test_chunk_size_does_not_split_dedup(self, harness):
-        # Results never depend on the ensemble chunk size, so a batch
-        # that differs only in trials_per_task is the same batch.
-        first = harness.client.submit(SPECS, SMALL)
-        harness.client.wait(first["job_id"])
-        second = harness.client.submit(SPECS, SMALL, trials_per_task=4)
-        assert second["status"] == "done" and second["dedup_hit"]
-        assert harness.client.results(second["job_id"]) == harness.client.results(
-            first["job_id"]
-        )
+    def test_chunk_size_does_not_split_dedup(self, tmp_path):
+        # Results never depend on the ensemble chunk size.  A job record
+        # that still carries the retired ``trials_per_task`` option
+        # restores, runs, and publishes under the key that a fresh
+        # submission of the same batch dedups with.
+        before = SimService(ServiceConfig(state_dir=tmp_path / "state"))
+        before.records_dir.mkdir(parents=True, exist_ok=True)
+        before.ledgers_dir.mkdir(parents=True, exist_ok=True)
+        job = before.submit("alice", {"specs": SPECS, "config": SMALL})
+        record_path = before.records_dir / f"{job.job_id}.json"
+        record = json.loads(record_path.read_text())
+        record["options"]["trials_per_task"] = 4
+        record_path.write_text(json.dumps(record))
 
-    def test_engine_alias_dedups_with_its_name(self, harness):
-        first = harness.client.submit(SPECS, SMALL, engine="fluid-exact")
-        harness.client.wait(first["job_id"])
-        second = harness.client.submit(SPECS, SMALL, engine="fluid")
-        assert second["status"] == "done" and second["dedup_hit"]
+        harness = ServerHarness(tmp_path, dispatchers=1)
+        try:
+            harness.client.wait(job.job_id)
+            assert harness.client.status(job.job_id)["status"] == "done"
+            fresh = harness.client.submit(SPECS, SMALL)
+            assert fresh["status"] == "done" and fresh["dedup_hit"]
+            assert harness.client.results(fresh["job_id"]) == harness.client.results(
+                job.job_id
+            )
+        finally:
+            harness.close()
 
 
 class TestErrorCodes:
@@ -148,9 +157,9 @@ class TestErrorCodes:
         [
             {"engine": "bogus"},
             {"engine": ["fluid-exact"]},
-            {"trials_per_task": 0},
-            {"trials_per_task": "x"},
-            {"trials_per_task": True},
+            {"engine": ""},
+            {"engine": 7},
+            {"engine": {"name": "fluid-batched"}},
         ],
     )
     def test_bad_run_options_are_400(self, harness, options):
@@ -159,6 +168,24 @@ class TestErrorCodes:
             harness.client.submit(SPECS, SMALL, **options)
         assert excinfo.value.status == 400
         assert harness.client.list_jobs() == []
+
+    @pytest.mark.parametrize("engine", ["fluid-exact", "fluid"])
+    def test_exact_engine_names_are_400(self, harness, engine):
+        # The scalar loop is the verification oracle, not an engine; the
+        # rejection says where it went.
+        with pytest.raises(ServiceError, match="exact_lifetime") as excinfo:
+            harness.client.submit(SPECS, SMALL, engine=engine)
+        assert excinfo.value.status == 400
+        assert harness.client.list_jobs() == []
+
+    def test_chunk_size_is_not_a_request_field(self, harness):
+        with pytest.raises(ServiceError, match="trials_per_task") as excinfo:
+            harness.client._json(
+                "POST",
+                "/v1/jobs",
+                body={"specs": SPECS, "config": SMALL, "trials_per_task": 4},
+            )
+        assert excinfo.value.status == 400
 
     def test_unknown_job_is_404(self, harness):
         with pytest.raises(ServiceError) as excinfo:

@@ -99,6 +99,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             service.submit("a", {"specs": SPECS, "surprise": True})
 
+    @pytest.mark.parametrize("engine", ["bogus", "fluid-exact", "fluid"])
+    def test_bad_default_engine_fails_at_startup(self, tmp_path, engine):
+        # Checked when the service is configured, not in every job that
+        # falls back to the default.
+        with pytest.raises(ValueError, match="engine must be one of"):
+            ServiceConfig(state_dir=tmp_path / "state", engine=engine)
+
+    @pytest.mark.parametrize("engine", ["fluid-exact", "bogus"])
+    def test_service_engine_flag_takes_only_engines(self, engine, capsys):
+        from repro.service.__main__ import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--engine", engine])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_nothing_persisted_for_rejected_submissions(self, service):
         with pytest.raises(ValidationError):
             service.submit("a", {"specs": []})

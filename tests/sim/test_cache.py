@@ -246,8 +246,7 @@ class TestInvalidation:
         in engine must occupy distinct cache entries."""
         batched = SimTask(config=SMALL, engine="fluid-batched")
         ensemble = SimTask(config=SMALL, engine="fluid-ensemble")
-        exact = SimTask(config=SMALL, engine="fluid-exact")
-        assert len({task_key(batched), task_key(ensemble), task_key(exact)}) == 3
+        assert task_key(batched) != task_key(ensemble)
 
 
 class TestRunnerIntegration:

@@ -28,6 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.ensemble import EnsembleMember, simulate_ensemble
 from repro.sim.frontier import DeathFrontier
 from repro.sim.lifetime import LifetimeSimulator
+from repro.sim.reference import exact_lifetime
 from repro.sparing.ps import PS
 
 #: Counter that exists only with runs on; everything else must match.
@@ -254,15 +255,12 @@ class _UnknownFloorPS(PS):
 def test_unknown_floor_matches_exact_engine():
     """A never-removing scheme may leave its floor unknown (``None``):
     the kernel then delivers one death per epoch, exactly as the scalar
-    engine orders them."""
+    oracle orders them."""
     emap = _linear_map(64, 4, seed=1)
-    results = {
-        engine: LifetimeSimulator(
-            emap, UniformAddressAttack(), _UnknownFloorPS(0.1), rng=1, engine=engine
-        ).run()
-        for engine in ("fluid-exact", "fluid-batched")
-    }
-    exact, batched = results["fluid-exact"], results["fluid-batched"]
+    exact = exact_lifetime(emap, UniformAddressAttack(), _UnknownFloorPS(0.1), rng=1)
+    batched = LifetimeSimulator(
+        emap, UniformAddressAttack(), _UnknownFloorPS(0.1), rng=1
+    ).run()
     assert (batched.deaths, batched.replacements, batched.failure_reason) == (
         exact.deaths,
         exact.replacements,

@@ -1,7 +1,8 @@
-"""Differential tests: fluid-batched vs fluid-exact vs the reference.
+"""Differential tests: the epoch kernel vs the scalar oracle vs the reference.
 
 The vectorized epoch kernel (``fluid-batched``) must be *exact* with
-respect to the scalar event loop (``fluid-exact``): identical death and
+respect to the scalar event loop (:func:`~repro.sim.reference.exact_lifetime`,
+engine label ``fluid-exact``): identical death and
 replacement counts, identical failure reason, served writes equal up to
 floating-point summation order (the batched kernel integrates each epoch
 with a cumulative sum; the scalar loop adds one interval at a time).
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.lifetime as lifetime_module
+import repro.sim.reference as reference_module
 from repro.attacks.bpa import BirthdayParadoxAttack
 from repro.attacks.repeated import RepeatedAddressAttack
 from repro.attacks.uaa import UniformAddressAttack
@@ -30,7 +32,7 @@ from repro.endurance.linear import LinearEnduranceModel, linear_endurance_map
 from repro.salvage.ecp import ECP
 from repro.salvage.freep import FreeP
 from repro.sim.lifetime import simulate_lifetime
-from repro.sim.reference import ReferenceSimulator
+from repro.sim.reference import ReferenceSimulator, exact_lifetime
 from repro.sparing.base import (
     BATCH_FAIL,
     BATCH_REPLACE,
@@ -43,7 +45,11 @@ from repro.sparing.none import NoSparing
 from repro.sparing.pcd import PCD
 from repro.sparing.ps import PS
 
-#: Served-writes agreement bound between the two fluid engines (counts
+#: The scalar oracle and the batched kernel, keyed by the engine label
+#: their results report.
+ORACLE_AND_KERNEL = {"fluid-exact": exact_lifetime, "fluid-batched": simulate_lifetime}
+
+#: Served-writes agreement bound between the oracle and the kernel (counts
 #: and failure reasons must match exactly; only summation order differs).
 WRITES_RTOL = 1e-9
 
@@ -81,15 +87,14 @@ def random_maps(draw):
 
 
 def both_engines(emap, attack_name, scheme_name, seed):
-    """Run the same configuration through both engines, fresh state each."""
+    """Run the same configuration on the oracle and the kernel, fresh state each."""
     results = {}
-    for engine in ("fluid-exact", "fluid-batched"):
-        results[engine] = simulate_lifetime(
+    for engine, run in ORACLE_AND_KERNEL.items():
+        results[engine] = run(
             emap,
             ATTACK_FACTORIES[attack_name](),
             SCHEME_FACTORIES[scheme_name](),
             rng=seed,
-            engine=engine,
             record_timeline=False,
         )
     return results["fluid-exact"], results["fluid-batched"]
@@ -142,13 +147,12 @@ class TestEngineEquivalence:
         """With timelines on, both engines log the same death sequence."""
         emap = EnduranceMap(np.linspace(100.0, 2000.0, 60), regions=30)
         runs = {}
-        for engine in ("fluid-exact", "fluid-batched"):
-            runs[engine] = simulate_lifetime(
+        for engine, run in ORACLE_AND_KERNEL.items():
+            runs[engine] = run(
                 emap,
                 UniformAddressAttack(),
                 MaxWE(0.1, 0.9),
                 rng=3,
-                engine=engine,
                 record_timeline=True,
             )
         exact, batched = runs["fluid-exact"], runs["fluid-batched"]
@@ -164,24 +168,23 @@ class TestEngineEquivalence:
 
 
 class TestHeapCompaction:
-    """The scalar engine's bounded heap (satellite: heap cap + compaction)."""
+    """The scalar oracle's bounded heap (heap cap + compaction)."""
 
     def test_compaction_triggers_and_preserves_results(self, monkeypatch):
         emap = EnduranceMap(np.linspace(50.0, 5000.0, 100), regions=50)
 
         def run():
-            return simulate_lifetime(
+            return exact_lifetime(
                 emap,
                 UniformAddressAttack(),
                 ECP(pointers=4, bonus_per_pointer=0.05),
                 rng=7,
-                engine="fluid-exact",
                 record_timeline=False,
             )
 
         baseline = run()
         assert baseline.metadata["heap_compactions"] == 0
-        monkeypatch.setattr(lifetime_module, "HEAP_SLACK", 0)
+        monkeypatch.setattr(reference_module, "HEAP_SLACK", 0)
         compacted = run()
         assert compacted.metadata["heap_compactions"] > 0
         assert compacted.writes_served == baseline.writes_served
@@ -220,13 +223,12 @@ class TestScalarFallback:
     def test_scheme_without_batch_override_runs_batched(self):
         emap = EnduranceMap(np.linspace(100.0, 1000.0, 40), regions=20)
         runs = {}
-        for engine in ("fluid-exact", "fluid-batched"):
-            runs[engine] = simulate_lifetime(
+        for engine, run in ORACLE_AND_KERNEL.items():
+            runs[engine] = run(
                 emap,
                 UniformAddressAttack(),
                 _TwoSpares(),
                 rng=1,
-                engine=engine,
                 record_timeline=False,
             )
         assert_engines_agree(runs["fluid-exact"], runs["fluid-batched"])
@@ -395,13 +397,12 @@ class TestAgainstReference:
             rng=3,
             max_writes=10_000_000,
         ).run()
-        for engine in ("fluid-exact", "fluid-batched"):
-            fluid = simulate_lifetime(
+        for engine, run in ORACLE_AND_KERNEL.items():
+            fluid = run(
                 emap,
                 UniformAddressAttack(),
                 MaxWE(0.1, 0.9),
                 rng=3,
-                engine=engine,
                 record_timeline=False,
             )
             assert fluid.normalized_lifetime == pytest.approx(
@@ -472,13 +473,12 @@ class TestSequentialRegime:
             ]
         )
         results = {}
-        for engine in ("fluid-exact", "fluid-batched"):
-            results[engine] = simulate_lifetime(
+        for engine, run in ORACLE_AND_KERNEL.items():
+            results[engine] = run(
                 EnduranceMap(values.copy(), regions=40),
                 UniformAddressAttack(),
                 ECP(pointers=100, bonus_per_pointer=0.05),
                 rng=23,
-                engine=engine,
                 record_timeline=False,
             )
         exact, batched = results["fluid-exact"], results["fluid-batched"]
@@ -491,13 +491,12 @@ class TestSequentialRegime:
         """The micro-loop's timeline events (scalar replace path) must
         mirror the scalar engine's event stream."""
         runs = {}
-        for engine in ("fluid-exact", "fluid-batched"):
-            runs[engine] = simulate_lifetime(
+        for engine, run in ORACLE_AND_KERNEL.items():
+            runs[engine] = run(
                 self.stream_map(),
                 ATTACK_FACTORIES["streaming"](),
                 SCHEME_FACTORIES["max-we"](),
                 rng=17,
-                engine=engine,
                 record_timeline=True,
             )
         exact, batched = runs["fluid-exact"], runs["fluid-batched"]

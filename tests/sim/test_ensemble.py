@@ -11,12 +11,14 @@ chunk-mates, and how a checkpoint resume re-chunks the remaining work.
 import numpy as np
 import pytest
 
+import repro.sim.runner as runner_module
 from repro.attacks.uaa import UniformAddressAttack
 from repro.core.maxwe import MaxWE
 from repro.endurance.emap import EnduranceMap
 from repro.sim.config import ExperimentConfig
 from repro.sim.ensemble import EnsembleMember, simulate_ensemble
 from repro.sim.lifetime import simulate_lifetime
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.montecarlo import monte_carlo_lifetime
 from repro.sim.runner import SimRunner, SimTask, fork_task_seeds
 from repro.sparing.none import NoSparing
@@ -24,48 +26,60 @@ from repro.sparing.none import NoSparing
 SMALL = ExperimentConfig(regions=128, lines_per_region=2, seed=7)
 
 
-def mc(engine, replicas=7, trials_per_task=None, **kwargs):
+def mc(engine, replicas=7, **kwargs):
     return monte_carlo_lifetime(
         UniformAddressAttack,
         lambda: MaxWE(0.1, 0.9),
         config=SMALL,
         replicas=replicas,
         engine=engine,
-        trials_per_task=trials_per_task,
         **kwargs,
     )
+
+
+@pytest.fixture
+def max_chunk(monkeypatch):
+    """Set the runner's chunk-size cap.  At ``jobs=1`` a run of ``n``
+    ensemble tasks chunks into ``min(n, cap)``-member chunks."""
+    return lambda size: monkeypatch.setattr(runner_module, "MAX_AUTO_CHUNK", size)
 
 
 class TestMonteCarloRouting:
     """The ensemble engine through the Monte-Carlo driver must reproduce
     the per-task ``fluid-batched`` study exactly, however trials chunk."""
 
-    def test_non_divisible_replica_count(self):
+    def test_non_divisible_replica_count(self, max_chunk):
         baseline = mc("fluid-batched", replicas=7)
-        ensemble = mc("fluid-ensemble", replicas=7, trials_per_task=3)
+        max_chunk(3)
+        ensemble = mc("fluid-ensemble", replicas=7)
         np.testing.assert_array_equal(ensemble.lifetimes, baseline.lifetimes)
 
-    def test_single_trial_chunks_degenerate_to_batched(self):
+    def test_single_trial_chunks_degenerate_to_batched(self, max_chunk):
         baseline = mc("fluid-batched", replicas=5)
-        ensemble = mc("fluid-ensemble", replicas=5, trials_per_task=1)
+        max_chunk(1)
+        ensemble = mc("fluid-ensemble", replicas=5)
         np.testing.assert_array_equal(ensemble.lifetimes, baseline.lifetimes)
 
     def test_auto_sized_chunks(self):
         baseline = mc("fluid-batched", replicas=6)
-        ensemble = mc("fluid-ensemble", replicas=6)  # trials_per_task=None
+        ensemble = mc("fluid-ensemble", replicas=6)
         np.testing.assert_array_equal(ensemble.lifetimes, baseline.lifetimes)
 
-    def test_chunk_size_does_not_leak_into_results(self):
-        studies = [
-            mc("fluid-ensemble", replicas=6, trials_per_task=size)
-            for size in (1, 2, 4, 6)
-        ]
+    def test_chunk_size_does_not_leak_into_results(self, max_chunk):
+        studies = []
+        for size in (1, 2, 4, 6):
+            max_chunk(size)
+            metrics = MetricsRegistry()
+            studies.append(mc("fluid-ensemble", replicas=6, metrics=metrics))
+            # The cap took effect: 6 members fold into ceil(6 / size) chunks.
+            assert metrics.counter("sim.ensembles") == -(-6 // size)
         for study in studies[1:]:
             np.testing.assert_array_equal(study.lifetimes, studies[0].lifetimes)
 
-    def test_oversized_chunk_is_harmless(self):
+    def test_oversized_chunk_is_harmless(self, max_chunk):
         baseline = mc("fluid-batched", replicas=3)
-        ensemble = mc("fluid-ensemble", replicas=3, trials_per_task=64)
+        max_chunk(64)
+        ensemble = mc("fluid-ensemble", replicas=3)
         np.testing.assert_array_equal(ensemble.lifetimes, baseline.lifetimes)
 
 
@@ -133,12 +147,14 @@ class TestRunnerChunking:
         ]
 
     def test_invalid_trials_per_task_rejected(self):
-        with pytest.raises(ValueError, match="trials_per_task"):
-            SimRunner(trials_per_task=0)
+        # The chunk size is the runner's own: it is no longer an option.
+        with pytest.raises(TypeError, match="trials_per_task"):
+            SimRunner(trials_per_task=4)
 
-    def test_ensemble_tasks_match_per_task_dispatch(self):
+    def test_ensemble_tasks_match_per_task_dispatch(self, max_chunk):
         baseline = SimRunner().run(self.tasks("fluid-batched"))
-        chunked = SimRunner(trials_per_task=4).run(self.tasks("fluid-ensemble"))
+        max_chunk(4)
+        chunked = SimRunner().run(self.tasks("fluid-ensemble"))
         for solo, ens in zip(baseline, chunked):
             assert ens.normalized_lifetime == solo.normalized_lifetime
             assert ens.writes_served == solo.writes_served
@@ -152,12 +168,13 @@ class TestRunnerChunking:
         solo = self.tasks("fluid-batched", count=5)
         mixed = [ens[0], ens[1], solo[2], ens[3], ens[4]]
         expected = SimRunner().run([solo[0], solo[1], solo[2], solo[3], solo[4]])
-        got = SimRunner(trials_per_task=8).run(mixed)
+        got = SimRunner().run(mixed)
         for want, have in zip(expected, got):
             assert have.normalized_lifetime == want.normalized_lifetime
 
-    def test_stats_count_members_not_chunks(self):
-        _, stats = SimRunner(trials_per_task=3).run_detailed(
+    def test_stats_count_members_not_chunks(self, max_chunk):
+        max_chunk(3)
+        _, stats = SimRunner().run_detailed(
             self.tasks("fluid-ensemble", count=7)
         )
         assert stats.tasks == 7
@@ -169,15 +186,14 @@ class TestCheckpointResume:
     """An interrupted ensemble study resumes from the journal and
     re-chunks only the remaining members."""
 
-    def test_resume_mid_ensemble(self, tmp_path):
+    def test_resume_mid_ensemble(self, tmp_path, max_chunk):
         path = tmp_path / "resume.jsonl"
         tasks = TestRunnerChunking.tasks("fluid-ensemble", count=8)
         # First pass covers an uneven prefix: one full chunk of 4 plus a
         # lone straggler, so the resume boundary falls mid-chunk.
-        SimRunner(trials_per_task=4, checkpoint=path).run(tasks[:5])
-        resumed, stats = SimRunner(
-            trials_per_task=4, checkpoint=path
-        ).run_detailed(tasks)
+        max_chunk(4)
+        SimRunner(checkpoint=path).run(tasks[:5])
+        resumed, stats = SimRunner(checkpoint=path).run_detailed(tasks)
         assert stats.checkpoint_hits == 5
         assert stats.simulated == 3  # only the tail re-chunked and ran
         baseline = SimRunner().run(TestRunnerChunking.tasks("fluid-batched", count=8))
@@ -185,15 +201,16 @@ class TestCheckpointResume:
             assert ens.normalized_lifetime == solo.normalized_lifetime
             assert ens.writes_served == solo.writes_served
 
-    def test_checkpointed_ensemble_results_hit_the_cache(self, tmp_path):
+    def test_checkpointed_ensemble_results_hit_the_cache(self, tmp_path, max_chunk):
         """Chunk completion fans out to per-member cache entries, exactly
         like per-task dispatch would have written them."""
         from repro.sim.cache import ResultCache
 
         cache = ResultCache(tmp_path / "cache")
         tasks = TestRunnerChunking.tasks("fluid-ensemble", count=6)
-        _, cold = SimRunner(trials_per_task=3, cache=cache).run_detailed(tasks)
+        max_chunk(3)
+        _, cold = SimRunner(cache=cache).run_detailed(tasks)
         assert cold.simulated == 6
-        _, warm = SimRunner(trials_per_task=3, cache=cache).run_detailed(tasks)
+        _, warm = SimRunner(cache=cache).run_detailed(tasks)
         assert warm.cache_hits == 6
         assert warm.simulated == 0

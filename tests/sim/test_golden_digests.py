@@ -1,7 +1,9 @@
 """Golden digests: every engine's observable output, pinned byte for byte.
 
-The differential suites prove the engines agree with *each other*; this
-file pins what they agree *on*.  Each case hashes the full
+The differential suites prove the engines and the scalar oracle
+(:func:`~repro.sim.reference.exact_lifetime`, results labelled
+``fluid-exact``) agree with *each other*; this file pins what they agree
+*on*.  Each case hashes the full
 :meth:`SimulationResult.to_dict` -- served writes, counts, failure
 reason, the metadata (regime counters included) and the per-death
 timeline -- for the 7 sparing schemes x 3 attacks of the differential
@@ -13,7 +15,7 @@ cached results of the old numerics stop being served.
 The small map never reaches the machinery that only switches on at a
 million lines (the unpatched ``BATCH_LIMIT`` cap, compact work rows,
 death runs, the width-64 region reduction), so the full-scale batch is
-pinned too, and checked once against the exact reference engine.
+pinned too, and checked once against the scalar oracle.
 """
 
 import hashlib
@@ -26,11 +28,13 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.batch import RunSpec, run_batch
 from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
+from repro.sim.reference import exact_lifetime
 from tests.sim.test_engine_equivalence import ATTACK_FACTORIES, SCHEME_FACTORIES
 
 #: sha256 of ``json.dumps(result.to_dict(), sort_keys=True)`` per
 #: ``(scheme, attack)``; the two engines differ only in
-#: ``metadata["engine"]``.
+#: ``metadata["engine"]``, and the oracle's ``fluid-exact`` column also in
+#: its regime counters and summation order.
 GOLDEN = {
     "fluid-batched": {
         ("ecp", "bpa"): "b36d18b39e3e8a9562db2a68e78f15f8937568883671c31aceadf74727ee139c",
@@ -54,6 +58,29 @@ GOLDEN = {
         ("ps-weakest", "bpa"): "3f107cc49a7bfc7d4e967da9a828c2d792c096ccf1267abab5c3b63c02d79134",
         ("ps-weakest", "streaming"): "446958dd5c1e73af77cbb8d473d6858082b73240609acc7cee1f3747abac8b88",
         ("ps-weakest", "uaa"): "628562e6fc1f0165dd711fe1626c7eaafdf18578a93f20f733ffb2fb6d5d36c6",
+    },
+    "fluid-exact": {
+        ("ecp", "bpa"): "4aebf33f8160e195f17dcffdec414d7f8145bedbc9c4043544bf17f2aebd2dcd",
+        ("ecp", "streaming"): "8eb8839691628687a1dae69a9563889236f4ee9959f90d07959f456b0e76cf97",
+        ("ecp", "uaa"): "d3662a9078457dd2fa4efa7d5aad3caf88be45605bb6e9af91e33c709f1ef338",
+        ("freep", "bpa"): "c87a6aa44271608ef0f2ae5212cd4b6694ef2b2c38e6bd95fc179d05a3be0a42",
+        ("freep", "streaming"): "9df4737f7702dafff4d0a37af0af3a0460d5dbf583432219dc117a1380c17849",
+        ("freep", "uaa"): "bf7f93b54ac9615e2a845a044a6f5e4ef1f57109015a7f73482f44d14c7efe2a",
+        ("max-we", "bpa"): "7e28f2dace1a8fa909c6ee990cf380bdd0315cd817bac81cf81e0bca3ef796a8",
+        ("max-we", "streaming"): "47453fbdf143f4c69baf07ba125082db7252c11fcb43705ef0a93b2437ef8c21",
+        ("max-we", "uaa"): "aedf3ddd48da0396f070ec6e0b898edcb9f0c97db5ca70c44e91c08b83ef5b45",
+        ("none", "bpa"): "53b26783c71d966caa5b990ed1d2c30539b9a3051de4f5d6a5f1493642b18a8e",
+        ("none", "streaming"): "f7c19406a6e626c0e74b7b6a2d0c1e549c39754d19a656857ba05305b4d69f0e",
+        ("none", "uaa"): "766340d0ca79fecfeefcca2171d252048834230fff37853a0fb3b6b4a8fc1ffa",
+        ("pcd", "bpa"): "abf8fa3762caf0996459e34f2ea035ec38c17f820e091c5332f33319f091cfae",
+        ("pcd", "streaming"): "534455aff82facd4f95c718a7a90d2910612f7e60388dbd9fb57e9e0acc17700",
+        ("pcd", "uaa"): "3d539b066f60447e2e95fb22780aca1448005fff95241b1a7e56d17b814ed339",
+        ("ps", "bpa"): "dd5fb224502b78cc9e5fe3bba191dd14bba321f6fd59d430558b50d5749db78c",
+        ("ps", "streaming"): "66bd596ca1b7534ee13d6c5f188fe0e6d960d6309ba2b8fdf52e749fa059a6a9",
+        ("ps", "uaa"): "04940209f8a258c6feecba678d9cde3f9c0a7cfe575721c8c5b57121703abe45",
+        ("ps-weakest", "bpa"): "512d09c80e5fa6d0d21a29bc7ff270ee869636f7ac57cdec81194124d757b25d",
+        ("ps-weakest", "streaming"): "acc877112f6b99599c5f19fd31ce31e681ce6d38f6e0c1072968529d10ebe0ee",
+        ("ps-weakest", "uaa"): "a8848e977e7188a57940f663fcc76b6f9bbac2a41e470a5f2fcb9f9e4f469c01",
     },
     "fluid-ensemble": {
         ("ecp", "bpa"): "6f70cf20bbcc9da0a87adc7a6189cbc8e61e07ae8a18eecb9bd01bec20a94f7a",
@@ -93,14 +120,13 @@ def test_result_digest_is_pinned(engine, scheme_name, attack_name):
     emap = linear_endurance_map(
         120, 40, LinearEnduranceModel.from_q(20.0, e_low=200.0), rng=11
     )
-    result = simulate_lifetime(
-        emap,
-        ATTACK_FACTORIES[attack_name](),
-        SCHEME_FACTORIES[scheme_name](),
-        rng=13,
-        engine=engine,
-        record_timeline=True,
-    )
+    components = (ATTACK_FACTORIES[attack_name](), SCHEME_FACTORIES[scheme_name]())
+    if engine == "fluid-exact":
+        result = exact_lifetime(emap, *components, rng=13, record_timeline=True)
+    else:
+        result = simulate_lifetime(
+            emap, *components, rng=13, engine=engine, record_timeline=True
+        )
     assert result_digest(result) == GOLDEN[engine][(scheme_name, attack_name)], (
         f"{engine} {scheme_name}/{attack_name}: SimulationResult.to_dict() "
         "moved.  If the engine numerics changed on purpose, bump "
@@ -143,7 +169,7 @@ def test_fullscale_batch_is_pinned(seed):
 
 
 def test_fullscale_batch_agrees_with_exact_engine():
-    # shadow_sample=1.0 re-runs every sim on fluid-exact and raises on
+    # shadow_sample=1.0 re-runs every sim on exact_lifetime and raises on
     # any divergence (compare_runs); verification leaves results as is.
     metrics = MetricsRegistry()
     batch = run_batch(

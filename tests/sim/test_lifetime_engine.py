@@ -21,6 +21,7 @@ from repro.core.maxwe import MaxWE
 from repro.endurance.generators import uniform_endurance_map
 from repro.endurance.linear import LinearEnduranceModel, linear_endurance_map
 from repro.sim.lifetime import simulate_lifetime
+from repro.sim.reference import exact_lifetime
 from repro.sparing.none import NoSparing
 from repro.sparing.pcd import PCD
 from repro.sparing.ps import PS
@@ -147,8 +148,9 @@ class TestAccumulationAccuracy:
 
     The integral historically accumulated with naive addition, so a flat
     map whose exact answer is an integer drifted by ~1 ulp per event
-    (e.g. 200.00000000000006 for a 20x10.0 device).  The exact engine now
-    compensates the sum (Kahan) and both engines seed the active weight
+    (e.g. 200.00000000000006 for a 20x10.0 device).  The scalar oracle
+    (``fluid-exact``) now compensates the sum (Kahan) and it and the
+    kernel both seed the active weight
     with the exact (correctly rounded) sum, the same bits as math.fsum
     (constant, two-valued or bucketed tier of repro.util.exactsum), so
     these cases are exact.
@@ -162,9 +164,8 @@ class TestAccumulationAccuracy:
         from repro.endurance.emap import EnduranceMap
 
         emap = EnduranceMap(np.full(lines, 10.0), regions=lines)
-        result = simulate_lifetime(
-            emap, UniformAddressAttack(), NoSparing(), rng=0, engine=engine
-        )
+        run = exact_lifetime if engine == "fluid-exact" else simulate_lifetime
+        result = run(emap, UniformAddressAttack(), NoSparing(), rng=0)
         assert result.writes_served == 10.0 * lines
 
     def test_accounting_tolerance_scales_with_device_and_events(self):

@@ -14,8 +14,9 @@ Repro (pre-fix this raised; now it must complete cleanly)::
         --paranoia full --regions 64 --lines-per-region 4 \
         --engine fluid-batched
 
-Pinned for both fluid engines, and the guarded run must stay
-bit-identical to the unguarded one (checks never mutate).
+Pinned for both engines; the guarded run must stay bit-identical to
+the unguarded one (checks never mutate) and agree with the scalar
+oracle.
 """
 
 import numpy as np
@@ -24,9 +25,8 @@ import pytest
 from repro.attacks.repeated import RepeatedAddressAttack
 from repro.core.maxwe import MaxWE
 from repro.endurance.emap import EnduranceMap
-from repro.sim.lifetime import simulate_lifetime
-
-ENGINES = ("fluid-batched", "fluid-exact")
+from repro.sim.lifetime import ENGINES, simulate_lifetime
+from repro.sim.reference import exact_lifetime
 
 
 def exhaustion_map(regions: int = 64, lines_per_region: int = 4) -> EnduranceMap:
@@ -73,3 +73,39 @@ class TestMaxWEExhaustionUnderFullParanoia:
         assert full.deaths == off.deaths
         assert full.replacements == off.replacements
         assert full.failure_reason == off.failure_reason
+
+    def test_guarded_exhaustion_matches_the_exact_oracle(self):
+        # The scalar loop no longer runs guarded as an engine; the guarded
+        # kernel run is checked against it instead.
+        guarded = simulate_lifetime(
+            exhaustion_map(),
+            RepeatedAddressAttack(target=0),
+            MaxWE(0.1, 0.9),
+            rng=11,
+            record_timeline=False,
+            paranoia="full",
+        )
+        exact = exact_lifetime(
+            exhaustion_map(),
+            RepeatedAddressAttack(target=0),
+            MaxWE(0.1, 0.9),
+            rng=11,
+            record_timeline=False,
+        )
+        assert (guarded.deaths, guarded.replacements, guarded.failure_reason) == (
+            exact.deaths,
+            exact.replacements,
+            exact.failure_reason,
+        )
+        assert guarded.writes_served == pytest.approx(exact.writes_served, rel=1e-9)
+
+    def test_exact_engine_name_is_rejected(self):
+        with pytest.raises(ValueError, match="exact_lifetime"):
+            simulate_lifetime(
+                exhaustion_map(),
+                RepeatedAddressAttack(target=0),
+                MaxWE(0.1, 0.9),
+                rng=11,
+                engine="fluid-exact",
+                paranoia="full",
+            )

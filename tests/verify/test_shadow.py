@@ -121,17 +121,21 @@ class TestSampledAuditsThroughTheEngine:
         assert audited.deaths == unaudited.deaths
 
     def test_exact_engine_is_never_audited_against_itself(self):
+        # The scalar loop is the audit's oracle, not an engine: naming it
+        # as one is rejected before anything runs or is audited.
         metrics = MetricsRegistry()
-        simulate_lifetime(
-            small_map(),
-            UniformAddressAttack(),
-            MaxWE(0.1, 0.9),
-            rng=5,
-            engine="fluid-exact",
-            shadow_sample=1.0,
-            metrics=metrics,
-        )
+        with pytest.raises(ValueError, match="exact_lifetime"):
+            simulate_lifetime(
+                small_map(),
+                UniformAddressAttack(),
+                MaxWE(0.1, 0.9),
+                rng=5,
+                engine="fluid-exact",
+                shadow_sample=1.0,
+                metrics=metrics,
+            )
         assert metrics.counter("verify.shadow_audits") == 0
+        assert metrics.counter("sim.runs") == 0
 
     def test_shadow_requires_a_reproducible_seed(self):
         with pytest.raises(ValueError, match="reproduc"):
