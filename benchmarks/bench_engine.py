@@ -18,6 +18,12 @@ drops the full-scale leg and shrinks the device for the CI smoke job,
 which gates on engine agreement only (CI boxes are too noisy to gate on
 speedup).  The pytest wrapper runs the full harness and enforces the
 aggregate >= 10x speedup acceptance bar.
+
+Both modes run the shared-device leg: one ``run_batch`` of Max-WE under
+UAA and under BPA on one 16384x64 device, reporting its phases, how many
+endurance maps and allocation plans it built (counted by wrapping the
+builders here) and its tracemalloc peak -- counts and bytes CI can gate
+on.
 """
 
 from __future__ import annotations
@@ -26,16 +32,19 @@ import argparse
 import json
 import os
 import platform
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
+import repro.core.maxwe as maxwe_module
 from repro.attacks.bpa import BirthdayParadoxAttack
 from repro.attacks.uaa import UniformAddressAttack
 from repro.obs.metrics import MetricsRegistry
+from repro.sim.batch import RunSpec, run_batch
 from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
 from repro.sim.reference import exact_lifetime
-from repro.sim.runner import build_sparing
+from repro.sim.runner import SimTask, build_sparing
 
 import sys
 
@@ -52,6 +61,17 @@ QUICK_CONFIG = ExperimentConfig(regions=1024, lines_per_region=8, seed=2019)
 #: Full-scale device: 1M lines, the paper's 1 GB geometry scaled to
 #: 8 lines per region.
 FULL_SCALE_CONFIG = ExperimentConfig(regions=131072, lines_per_region=8, seed=2019)
+
+#: Shared-device leg: the paper's headline pair on one 1M-line device
+#: at its 64-lines-per-region geometry (perfbench's ``fullscale`` op).
+SHARED_CONFIG = ExperimentConfig(regions=16384, lines_per_region=64, seed=3)
+SHARED_SPECS = (
+    RunSpec("max-we/uaa", attack="uaa", sparing="max-we"),
+    RunSpec("max-we/bpa", attack="bpa", sparing="max-we"),
+)
+
+#: Phases the shared-device leg reports.
+SHARED_PHASES = ("sim/endurance", "sim/init", "sim/kernel")
 
 #: Sparing schemes measured, in runner vocabulary.
 BENCH_SCHEMES = ("max-we", "ps", "pcd", "none")
@@ -109,6 +129,55 @@ def _run(config: ExperimentConfig, scheme: str, engine: str, attack=None) -> tup
         for name, timing in snapshot["timings"].items()
     }
     return result, perf_counter() - start, phases, snapshot["counters"]
+
+
+def _shared_device_leg(config: ExperimentConfig) -> dict:
+    """One ``run_batch`` of :data:`SHARED_SPECS` on ``config``'s device.
+
+    A timed run gives the seconds, phases and builds; a second run under
+    ``tracemalloc`` gives the peak of traced allocations.
+    """
+    builds = {"maps": 0, "plans": 0}
+    make_emap, stacked_plan = SimTask.make_emap, maxwe_module._stacked_plan
+
+    def count_map(task):
+        builds["maps"] += 1
+        return make_emap(task)
+
+    def count_plan(*args):
+        builds["plans"] += 1
+        return stacked_plan(*args)
+
+    SimTask.make_emap, maxwe_module._stacked_plan = count_map, count_plan
+    try:
+        metrics = MetricsRegistry()
+        start = perf_counter()
+        run_batch(SHARED_SPECS, config, metrics=metrics)
+        seconds = perf_counter() - start
+        map_builds, plan_builds = builds["maps"], builds["plans"]
+    finally:
+        SimTask.make_emap, maxwe_module._stacked_plan = make_emap, stacked_plan
+    tracemalloc.start()
+    try:
+        run_batch(SHARED_SPECS, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    timings = metrics.snapshot()["timings"]
+    return {
+        "lines": config.regions * config.lines_per_region,
+        "regions": config.regions,
+        "lines_per_region": config.lines_per_region,
+        "seed": config.seed,
+        "specs": [spec.label for spec in SHARED_SPECS],
+        "seconds": round(seconds, 4),
+        "phases": {
+            name: round(float(timings[name]["sum"]), 4) for name in SHARED_PHASES
+        },
+        "map_builds": map_builds,
+        "plan_builds": plan_builds,
+        "traced_peak_mb": round(peak / 1e6, 2),
+    }
 
 
 def _agree(exact, batched) -> tuple[bool, str]:
@@ -219,6 +288,8 @@ def run_bench(quick: bool = False) -> dict:
         # metrics-only counter, absent from result metadata.
         "run_deaths": counters.get("sim.run_deaths", 0),
     }
+
+    payload["shared_device"] = _shared_device_leg(SHARED_CONFIG)
 
     if not quick:
         runs = {}

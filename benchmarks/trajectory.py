@@ -65,6 +65,18 @@ def _engine_rows(payload: dict) -> Iterator[dict]:
             yield _row("engine", f"full_scale_{name}_compact_exits",
                        run["compact_exits"], "exits",
                        "compact work rows left for the full arrays")
+    shared = payload.get("shared_device") or {}
+    if shared.get("seconds") is not None:
+        phases = shared.get("phases") or {}
+        yield _row("engine", "shared_device", shared["seconds"], "s",
+                   ", ".join(f"{name} {value}" for name, value in phases.items()))
+    for name in ("map_builds", "plan_builds"):
+        if shared.get(name) is not None:
+            yield _row("engine", f"shared_device_{name}", shared[name], "builds",
+                       f"{shared.get('lines')} lines, {len(shared.get('specs', ()))} sims")
+    if shared.get("traced_peak_mb") is not None:
+        yield _row("engine", "shared_device_traced_peak", shared["traced_peak_mb"],
+                   "MB", "tracemalloc peak of one run_batch")
     structure = payload.get("bpa_structure") or {}
     if structure.get("sequential_rounds") is not None:
         yield _row("engine", "bpa_sequential_rounds",

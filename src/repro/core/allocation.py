@@ -201,12 +201,10 @@ def plan_allocation(
         swr_paired = swr_ascending
         rwr_paired = generator.permutation(rwr_ascending)
 
-    spare_ids = set(int(region) for region in swr) | set(
-        int(region) for region in additional
-    )
-    working = np.array(
-        [region for region in range(regions) if region not in spare_ids], dtype=np.intp
-    )
+    working_mask = np.ones(regions, dtype=bool)
+    working_mask[swr] = False
+    working_mask[additional] = False
+    working = np.flatnonzero(working_mask)
     return AllocationPlan(
         swr_regions=swr_paired,
         rwr_regions=rwr_paired,

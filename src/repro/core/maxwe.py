@@ -24,8 +24,9 @@ pre-sorted spare ranking.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.sparing.base import (
     SchemeIntegrityError,
     SpareScheme,
 )
+from repro.util.memo import memoized
 from repro.util.sorting import stable_value_argsort
 from repro.util.validation import require_fraction
 
@@ -602,14 +604,95 @@ def _stable_rank_prefix(values: np.ndarray, need: int) -> np.ndarray:
     return prefix[order]
 
 
+class _StackedPlan(NamedTuple):
+    """One map's weak-priority / weak-strong allocation, read-only.
+
+    Everything here is a pure function of the endurance map and the
+    scheme's fractions, so the simulations of one map inside a run share
+    one plan.  ``budgets`` and ``total_endurance`` are the engine's
+    initial arrays under the map's nominal endurance.
+    """
+
+    sra_lookup: np.ndarray  # region -> paired SWR region, -1 if none
+    pool_lines: np.ndarray  # additional-pool lines, strongest first
+    pool_floor: np.ndarray  # suffix minima of the pool's endurance
+    swr_line_floor: float  # weakest SWR line (inf without SWRs)
+    backing: np.ndarray  # working lines, ascending
+    budgets: np.ndarray  # line_endurance[backing]
+    total_endurance: float  # float(line_endurance.sum())
+
+
+def _stacked_plan(
+    emap: EnduranceMap, swr_count: int, additional_count: int, metric: str
+) -> _StackedPlan:
+    """Build ``emap``'s :class:`_StackedPlan` (see :class:`MaxWEStackedState`).
+
+    Only the ranking *prefix* (SWRs + RWRs + additional spares) is ever
+    consulted -- the working set is just the complement's membership --
+    so the full stable argsort collapses to an argpartition plus a small
+    exact-tie-corrected sort.
+    """
+    regions = emap.regions
+    per = emap.lines_per_region
+    need = 2 * swr_count + additional_count
+    offsets = np.arange(per, dtype=np.intp)
+    line_endurance = emap.line_endurance
+    # EnduranceMap.rank_regions prefix: stable, ties by region id.
+    prefix = _stable_rank_prefix(emap.region_endurance(metric), need)
+    swr = prefix[:swr_count]
+    rwr = prefix[swr_count : 2 * swr_count]
+    additional = prefix[2 * swr_count : need]
+
+    # Weak-strong pairing: sra_lookup[rwr_asc[::-1]] = swr_asc.
+    sra_lookup = np.full(regions, -1, dtype=np.intp)
+    sra_lookup[rwr] = swr[::-1]
+
+    # Working regions: ascending complement of SWRs + additional spares
+    # (RWRs stay in service), matching the solo plan.
+    working_mask = np.ones(regions, dtype=bool)
+    working_mask[swr] = False
+    working_mask[additional] = False
+    working = np.flatnonzero(working_mask)
+    backing = (working[:, None] * per + offsets).reshape(-1)
+    budgets = line_endurance[backing]
+
+    # Additional pool, strongest-first, consumed via a per-trial cursor;
+    # suffix minima are the batching safety bound.
+    pool_lines = (additional[:, None] * per + offsets).ravel()
+    pool_endurance = line_endurance[pool_lines]
+    order = np.argsort(-pool_endurance, kind="stable")
+    pool_lines = pool_lines[order]
+    pool_floor = np.minimum.accumulate(pool_endurance[order][::-1])[::-1]
+    swr_line_floor = math.inf
+    if swr_count:
+        swr_lines = (swr[:, None] * per + offsets).ravel()
+        swr_line_floor = float(line_endurance[swr_lines].min())
+
+    for array in (sra_lookup, pool_lines, pool_floor, backing, budgets):
+        array.setflags(write=False)
+    return _StackedPlan(
+        sra_lookup=sra_lookup,
+        pool_lines=pool_lines,
+        pool_floor=pool_floor,
+        swr_line_floor=swr_line_floor,
+        backing=backing,
+        budgets=budgets,
+        total_endurance=float(line_endurance.sum()),
+    )
+
+
 class MaxWEStackedState(BatchedSchemeState):
     """Trial-stacked Max-WE state for the batched epoch kernel.
 
-    Every trial's slot states, SRA lookup, and allocation-ordered pool
-    live as rows of ``(trials, ...)`` tensors, built by one pass per
-    trial that skips every ledger the kernel never reads (RMT/LMT,
-    original-line provenance, eager backing arrays).  Decisions are
-    bit-identical to per-trial :class:`MaxWE` instances because
+    Every trial's slot states, pool cursor and failover count live as
+    rows of ``(trials, ...)`` arrays over a read-only per-map plan
+    (:class:`_StackedPlan`: SRA lookup, allocation-ordered pool, initial
+    backing), built by one pass per map that skips every ledger the
+    kernel never reads (RMT/LMT, original-line provenance).  Inside a
+    :meth:`~repro.sim.runner.SimRunner.run` the plan of the run's
+    device is built once and shared (:mod:`repro.util.memo`).
+    Decisions are bit-identical to per-trial :class:`MaxWE` instances
+    because
 
     * the weak-priority / weak-strong plan is a pure function of the
       endurance map -- :func:`_stable_rank_prefix` reproduces the first
@@ -642,11 +725,8 @@ class MaxWEStackedState(BatchedSchemeState):
         self, schemes: Sequence[MaxWE], emaps: Sequence[EnduranceMap]
     ) -> None:
         first = schemes[0]
-        emap = emaps[0]
-        trials = len(schemes)
-        regions = emap.regions
-        per = emap.lines_per_region
-        self._per = per
+        regions = emaps[0].regions
+        self._per = emaps[0].lines_per_region
         self._rwr_fallback = first._rwr_fallback
         self._description = first.describe()
 
@@ -659,63 +739,35 @@ class MaxWEStackedState(BatchedSchemeState):
                 f"additional regions, exceeding the {regions} available"
             )
 
-        # Trials init one at a time: each trial's arrays fit in cache,
-        # which beats operating on (trials, lines) tensors on every axis,
-        # and only the ranking *prefix* (SWRs + RWRs + additional spares)
-        # is ever consulted -- the working set is just the complement's
-        # membership -- so the full stable argsort collapses to an
-        # argpartition plus a small exact-tie-corrected sort.
-        need = 2 * swr_count + additional_count
+        self._emaps = list(emaps)
+        self._shape = (swr_count, additional_count, first._region_metric)
+        self._plan_trial = -1
+        self._current_plan: Optional[_StackedPlan] = None
+        trials = len(schemes)
         working_count = regions - swr_count - additional_count
-        pool_size = additional_count * per
-        metric = first._region_metric
-        offsets = np.arange(per, dtype=np.intp)
-        self._offsets = offsets
-
-        self._sra_lookup = np.full((trials, regions), -1, dtype=np.intp)
-        self._working = np.empty((trials, working_count), dtype=np.intp)
-        self._pool_lines = np.empty((trials, pool_size), dtype=np.intp)
-        self._pool_floor = np.empty((trials, pool_size), dtype=float)
-        self._swr_line_floor = np.full(trials, math.inf)
-        working_mask = np.empty(regions, dtype=bool)
-
-        for t in range(trials):
-            line_endurance = emaps[t].line_endurance
-            region_endurance = emaps[t].region_endurance(metric)
-            # EnduranceMap.rank_regions prefix: stable, ties by region id.
-            prefix = _stable_rank_prefix(region_endurance, need)
-            swr = prefix[:swr_count]
-            rwr = prefix[swr_count : 2 * swr_count]
-            additional = prefix[2 * swr_count : need]
-
-            # Weak-strong pairing: sra_lookup[rwr_asc[::-1]] = swr_asc.
-            if swr_count:
-                self._sra_lookup[t, rwr] = swr[::-1]
-
-            # Working regions: ascending complement of SWRs + additional
-            # spares (RWRs stay in service), matching the solo plan.
-            working_mask[:] = True
-            working_mask[swr] = False
-            working_mask[additional] = False
-            self._working[t] = np.flatnonzero(working_mask)
-
-            # Additional pool, strongest-first, consumed via a per-trial
-            # cursor; suffix minima are the batching safety bound.
-            if pool_size:
-                pool_lines = (additional[:, None] * per + offsets).ravel()
-                pool_endurance = line_endurance[pool_lines]
-                order = np.argsort(-pool_endurance, kind="stable")
-                self._pool_lines[t] = pool_lines[order]
-                self._pool_floor[t] = np.minimum.accumulate(
-                    pool_endurance[order][::-1]
-                )[::-1]
-            if swr_count:
-                swr_lines = (swr[:, None] * per + offsets).ravel()
-                self._swr_line_floor[t] = float(line_endurance[swr_lines].min())
-
         self._pool_pos = np.zeros(trials, dtype=np.intp)
-        self._state = np.zeros((trials, working_count * per), dtype=np.int8)
-        self._rwr_originals_left = np.full(trials, swr_count * per, dtype=np.intp)
+        self._state = np.zeros((trials, working_count * self._per), dtype=np.int8)
+        self._rwr_originals_left = np.full(
+            trials, swr_count * self._per, dtype=np.intp
+        )
+
+    def _plan(self, trial: int) -> _StackedPlan:
+        """Trial ``trial``'s plan, built (or taken from the run's memo) on
+        first use.  The kernel advances one trial at a time, so only the
+        current trial's plan is held: an ensemble never keeps every
+        trial's backing and budgets alive at once."""
+        if trial != self._plan_trial:
+            self._current_plan = None  # let the memo free the last one first
+            emap = self._emaps[trial]
+            self._current_plan = memoized(
+                "maxwe-plan",
+                self._shape,
+                functools.partial(_stacked_plan, emap, *self._shape),
+                owner=emap,
+            )
+            self._plan_trial = trial
+        assert self._current_plan is not None
+        return self._current_plan
 
     @property
     def trials(self) -> int:
@@ -726,10 +778,15 @@ class MaxWEStackedState(BatchedSchemeState):
         return True
 
     def backing(self, trial: int) -> np.ndarray:
-        # Built on demand: the broadcasted product is already a fresh
-        # array the caller owns, so nothing is stored or copied up front.
-        working = self._working[trial]
-        return (working[:, None] * self._per + self._offsets).reshape(-1)
+        return self._plan(trial).backing
+
+    def initial_arrays(
+        self, trial: int, endurance: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        if endurance is not self._emaps[trial].line_endurance:
+            return super().initial_arrays(trial, endurance)
+        plan = self._plan(trial)
+        return plan.backing, plan.budgets, plan.total_endurance
 
     def min_user_slots(self, trial: int) -> int:
         # Max-WE never retires slots; every working line stays addressable.
@@ -742,9 +799,8 @@ class MaxWEStackedState(BatchedSchemeState):
         state_row = self._state[trial]
         states = state_row[slots]
         regions, offsets = np.divmod(dead_lines, per)
-        # Row view first: 1-D fancy indexing skips numpy's general
-        # broadcast machinery for the scalar trial index.
-        sra = self._sra_lookup[trial][regions]
+        plan = self._plan(trial)
+        sra = plan.sra_lookup[regions]
         swr_mask = (states == _ORIGINAL) & (sra >= 0)
 
         fail_reason: Optional[str] = None
@@ -763,7 +819,7 @@ class MaxWEStackedState(BatchedSchemeState):
             if fail_reason is not None:
                 rescue_mask[count - 1] = False
             rescue_positions = np.flatnonzero(rescue_mask)
-        available = int(self._pool_lines.shape[1] - self._pool_pos[trial])
+        available = int(plan.pool_lines.size - self._pool_pos[trial])
         if rescue_positions.size > available:
             count = int(rescue_positions[available]) + 1
             fail_reason = _POOL_EXHAUSTED
@@ -784,7 +840,7 @@ class MaxWEStackedState(BatchedSchemeState):
 
         if rescue_positions.size:
             pos = int(self._pool_pos[trial])
-            taken = self._pool_lines[trial, pos : pos + rescue_positions.size]
+            taken = plan.pool_lines[pos : pos + rescue_positions.size]
             self._pool_pos[trial] = pos + rescue_positions.size
             lines[rescue_positions] = taken
             state_row[slots[rescue_positions]] = _LMT_REPLACED
@@ -827,7 +883,7 @@ class MaxWEStackedState(BatchedSchemeState):
         if state != _ORIGINAL and state != _LMT_REPLACED and not self._rwr_fallback:
             return head, _swr_worn_reason(dead_line)
         pos = int(self._pool_pos[trial])
-        lines = self._pool_lines[trial, pos : pos + limit]
+        lines = self._plan(trial).pool_lines[pos : pos + limit]
         fail = _POOL_EXHAUSTED if lines.size < limit else None
         if head.size:
             lines = np.concatenate((head, lines))
@@ -848,39 +904,41 @@ class MaxWEStackedState(BatchedSchemeState):
         ):
             return  # a strict-mode failure changes no state
         pos = int(self._pool_pos[trial])
-        rescued = min(deaths, self._pool_lines.shape[1] - pos)
+        rescued = min(deaths, self._plan(trial).pool_lines.size - pos)
         self._pool_pos[trial] = pos + rescued
         state_row[slot] = _LMT_REPLACED if rescued == deaths else _RETIRED
 
     def _swr_hop(self, trial: int, dead_line: int) -> int:
         """The matched SWR line of RWR line ``dead_line``, else -1."""
         region, offset = divmod(dead_line, self._per)
-        spare_region = int(self._sra_lookup[trial, region])
+        spare_region = int(self._plan(trial).sra_lookup[region])
         return spare_region * self._per + offset if spare_region >= 0 else -1
 
     def _rescue_from_pool(self, trial: int, slot: int) -> Replacement:
+        pool_lines = self._plan(trial).pool_lines
         pos = int(self._pool_pos[trial])
-        if pos >= self._pool_lines.shape[1]:
+        if pos >= pool_lines.size:
             self._state[trial, slot] = _RETIRED
             return FailDevice(reason=_POOL_EXHAUSTED)
         self._pool_pos[trial] = pos + 1
         self._state[trial, slot] = _LMT_REPLACED
-        return ReplaceWith(line=int(self._pool_lines[trial, pos]))
+        return ReplaceWith(line=int(pool_lines[pos]))
 
     def replacement_extra_floor(self, trial: int) -> float:
+        plan = self._plan(trial)
         floor = math.inf
         pos = int(self._pool_pos[trial])
-        if pos < self._pool_lines.shape[1]:
-            floor = float(self._pool_floor[trial, pos])
+        if pos < plan.pool_lines.size:
+            floor = float(plan.pool_floor[pos])
         if self._rwr_originals_left[trial] > 0:
-            floor = min(floor, float(self._swr_line_floor[trial]))
+            floor = min(floor, plan.swr_line_floor)
         return floor
 
     def replacement_capacity(self, trial: int) -> int:
         # Each SWR failover consumes one paired spare line and each pool
         # rescue one pool line, so their sum bounds future replacements.
         return int(self._rwr_originals_left[trial]) + int(
-            self._pool_lines.shape[1] - self._pool_pos[trial]
+            self._plan(trial).pool_lines.size - self._pool_pos[trial]
         )
 
     def describe(self, trial: int) -> str:

@@ -57,7 +57,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.attacks.base import PROFILE_UNIFORM, AttackModel
+from repro.attacks.base import AttackModel
 from repro.device.faults import FaultModel
 from repro.endurance.emap import EnduranceMap
 from repro.obs.metrics import MetricsRegistry, maybe_span
@@ -81,7 +81,7 @@ from repro.util.rng import RandomState, derive_rng
 from repro.verify.invariants import EngineGuard, InvariantViolation, normalize_paranoia
 from repro.verify.shadow import compare_runs, should_audit
 from repro.verify.snapshot import write_violation_bundle
-from repro.wearlevel.base import WearLeveler
+from repro.wearlevel.base import WearLeveler, distinct_values
 from repro.wearlevel.none import NoWearLeveling
 
 #: The engine name this module implements.
@@ -240,8 +240,7 @@ def _init_trial(
     state: BatchedSchemeState,
     index: int,
     member: EnsembleMember,
-    weight_cache: List[Tuple[np.ndarray, float, float]],
-    uniform_cache: dict,
+    weight_cache: List[Tuple[Tuple[int, ...], np.ndarray, float, float]],
 ) -> _Trial:
     """Build member ``index``'s arrays from its scheme state and components.
 
@@ -249,90 +248,65 @@ def _init_trial(
     so the exact weight total (correctly rounded, the same bits as
     ``math.fsum``, from the constant, two-valued or bucketed tier of
     :func:`~repro.util.exactsum.exact_sum`) and ``w_max`` are shared
-    through ``weight_cache`` across members with equal weights.
-    NoWearLeveling's uniform-profile distribution is a pure function of
-    the slot count (np.full(slots, 1/slots), eta 1, no rng use), so
-    ``uniform_cache`` (keyed by slot count) lets the first such member's
-    build serve every later member with the same count -- skipping
-    attach(), wear_weights() and the weight-cache comparison entirely.
+    through ``weight_cache`` across members with equal weights.  A
+    constant weight vector (a uniform profile without a wear-leveler, a
+    read-only broadcast view) sets ``w_scalar``, so the kernel divides by
+    the scalar instead of gathering weights.  The backing and budgets may
+    be the scheme state's shared read-only arrays (see
+    :meth:`~repro.sparing.base.BatchedSchemeState.initial_arrays`); the
+    death times are always a fresh array.
     """
     fault_model = member.fault_model if member.fault_model is not None else FaultModel()
     endurance = fault_model.effective_endurance(member.emap.line_endurance)
-    total_endurance = float(endurance.sum())
-
-    backing = state.backing(index)
+    backing, budgets, total_endurance = state.initial_arrays(index, endurance)
     slots = backing.size
     min_user_slots = min(state.min_user_slots(index), slots)
-
-    budgets = endurance[backing]
     if budgets.dtype != np.float64:
         budgets = budgets.astype(float)
+
     profile = member.attack.profile(slots)
+    wl = member.wearleveler if member.wearleveler is not None else NoWearLeveling()
+    wl.attach(budgets, derive_rng(member.rng, "wearlevel"))
+    distribution = wl.wear_weights(profile)
+    weights = np.asarray(distribution.weights, dtype=float)
+    if weights.size != slots:
+        raise ValueError(
+            f"wear-leveler produced {weights.size} weights for {slots} slots"
+        )
+    eta = distribution.useful_fraction
 
-    # Generator rngs are excluded from the cached path: a hit would skip
-    # attach()'s derive_rng, which for a Generator consumes parent state
-    # that later members observe.  Integer seeds derive purely, so
-    # skipping the draw changes nothing.
-    cache_eligible = (
-        member.wearleveler is None
-        and profile.kind == PROFILE_UNIFORM
-        and not isinstance(member.rng, np.random.Generator)
-    )
-    w_scalar: Optional[float] = None
-    cached_uniform = uniform_cache.get(slots) if cache_eligible else None
-    if cached_uniform is not None:
-        # attach() is skipped, so its endurance validation is kept.
-        if not budgets.min() > 0:
-            raise ValueError("slot endurances must be strictly positive")
-        weights, eta, active_weight, w_max, wl_desc = cached_uniform
-        all_prone = True  # constant 1/slots weights
-        w_scalar = float(weights[0])
-    else:
-        wl = member.wearleveler if member.wearleveler is not None else NoWearLeveling()
-        wl.attach(budgets, derive_rng(member.rng, "wearlevel"))
-        distribution = wl.wear_weights(profile)
-        weights = np.asarray(distribution.weights, dtype=float)
-        if weights.size != slots:
-            raise ValueError(
-                f"wear-leveler produced {weights.size} weights for {slots} slots"
-            )
-        eta = distribution.useful_fraction
+    # ``min() > 0`` is the allocation-free spelling of
+    # ``(weights > 0).all()``; weights are finite by contract.
+    values = distinct_values(weights)
+    w_min = float(values.min()) if slots else 0.0
+    all_prone = slots > 0 and w_min > 0.0
 
-        # With every slot wear-prone the masked assignment collapses to
-        # one full divide -- both branches produce the same values
-        # exactly.  (``min() > 0`` is the allocation-free spelling of
-        # ``(weights > 0).all()``; weights are finite by contract.)
-        w_min = float(weights.min()) if slots else 0.0
-        all_prone = slots > 0 and w_min > 0.0
+    active_weight = None
+    w_max = 0.0
+    for shape, cached, cached_sum, cached_max in weight_cache:
+        # Comparing a constant view by its one value may miss an equal
+        # dense vector; a miss only recomputes the same exact sum.
+        if shape == weights.shape and np.array_equal(cached, values):
+            active_weight, w_max = cached_sum, cached_max
+            break
+    if active_weight is None:
+        # The initial active weight is the one sum every served-writes
+        # increment multiplies, so it is exact: correctly rounded, the
+        # same bits as ``math.fsum`` (a uniform 20-slot profile must sum
+        # to 1.0).  The extremes pick the cheapest exact tier.
+        w_max = float(values.max()) if slots else 0.0
+        active_weight = exact_sum(weights, w_min, w_max)
+        if len(weight_cache) < 8:
+            weight_cache.append((weights.shape, values, active_weight, w_max))
 
-        active_weight = None
-        w_max = 0.0
-        for cached, cached_sum, cached_max in weight_cache:
-            if cached.shape == weights.shape and np.array_equal(cached, weights):
-                active_weight, w_max = cached_sum, cached_max
-                break
-        if active_weight is None:
-            # The initial active weight is the one sum every served-writes
-            # increment multiplies, so it is exact: correctly rounded, the
-            # same bits as ``math.fsum`` (a uniform 20-slot profile must
-            # sum to 1.0).  The extremes pick the cheapest exact tier.
-            w_max = float(weights.max()) if slots else 0.0
-            active_weight = exact_sum(weights, w_min, w_max)
-            if len(weight_cache) < 8:
-                weight_cache.append((weights, active_weight, w_max))
-        wl_desc = wl.describe()
-        if cache_eligible and all_prone:
-            uniform_cache[slots] = (weights, eta, active_weight, w_max, wl_desc)
-
-    if all_prone:
-        # Dividing by the scalar (when the weights are constant) yields
-        # the same elementwise quotients bit for bit; on the cached path
-        # nothing else holds ``budgets`` (attach was skipped), so the
-        # divide reuses its buffer.
-        if w_scalar is not None:
-            current_death = np.divide(budgets, w_scalar, out=budgets)
-        else:
-            current_death = budgets / weights
+    # With every slot wear-prone the masked assignment collapses to one
+    # full divide, and with constant weights to a divide by the scalar:
+    # every branch produces the same quotients bit for bit.
+    w_scalar = w_min if all_prone and w_min == w_max else None
+    if w_scalar is not None:
+        current_death = budgets / w_scalar
+    elif all_prone:
+        current_death = budgets / weights
     else:
         prone = weights > 0.0
         current_death = np.full(slots, math.inf)
@@ -352,7 +326,7 @@ def _init_trial(
         describe={
             "attack": member.attack.describe(),
             "sparing": state.describe(index),
-            "wearleveler": wl_desc,
+            "wearleveler": wl.describe(),
             "fault_model": fault_model.describe(),
         },
     )
@@ -442,14 +416,13 @@ def simulate_ensemble(
         else None
     )
     task_key = active_task_key()
-    weight_cache: List[Tuple[np.ndarray, float, float]] = []
-    uniform_cache: dict = {}
+    weight_cache: List[Tuple[Tuple[int, ...], np.ndarray, float, float]] = []
 
     results: List[SimulationResult] = []
     for index, member in enumerate(members):
         try:
             with maybe_span(metrics, "sim/init"):
-                trial = _init_trial(state, index, member, weight_cache, uniform_cache)
+                trial = _init_trial(state, index, member, weight_cache)
                 # Corruption rolls and shadow sampling are keyed by the
                 # supervising runner's task key (per trial in an
                 # ensemble); standalone runs use the run's own identity.
@@ -565,16 +538,17 @@ def _advance_trial(
     with a cumulative sum.  The floor is fetched once before the loop;
     ``w_scalar`` may be set when every entry of ``weights`` equals it, and
     scalar divisions then replace the elementwise gathers
-    bit-identically.
+    bit-identically.  ``backing`` may be shared and read-only: the loop
+    then writes only its compact rows, or a copy.
 
     The selection strategy follows from what the loop can observe, never
     from an option; every strategy selects exactly the same epochs:
 
     * the **value partition** (:func:`_select_epoch`) over the full
       arrays, or over **compact work rows** when the scheme never removes
-      slots, every slot is wear-prone (so every death time stays finite),
-      no guard or corruptor inspects or mutates the full arrays, and the
-      replacement capacity is known;
+      slots and no guard or corruptor inspects or mutates the full
+      arrays: the prone slots when some slots never wear, else the
+      candidates the replacement capacity allows, if it is known;
     * the **death-frontier** sequential regime after
       :data:`~repro.sim.lifetime.SEQUENTIAL_ENTER_STREAK` consecutive
       one-death epochs, handing back to the vectorized selection the
@@ -632,51 +606,57 @@ def _advance_trial(
     regime_switches = 0
     full_scans = 0
 
-    # Compact work rows and the skipped removal scan need every death time
-    # finite for the trial's whole life: no removals (scheme promise),
-    # every slot wear-prone, and nobody reading or corrupting the full
-    # arrays.
-    finite_rows = (
-        state.never_removes
-        and sequential_ok
-        and backing.size > 0
-        and bool(weights.min() > 0.0)
-    )
     # The live rows the loop reads and scatters into, indexed by epoch
     # *keys*: the full arrays (keys are slots), or compact work rows
-    # (keys are positions in ``work``).  A replacement's new death time
-    # always lands at or above the epoch bound that selected it -- that
-    # is exactly why epoch grouping is chronologically safe -- so with at
-    # most ``capacity`` replacements ever granted and at most
-    # ``BATCH_LIMIT`` slots selected per epoch, every epoch draws from the
-    # ``capacity + BATCH_LIMIT`` smallest initial death times.  Those
-    # candidates' death times, backing lines and weights are copied into
-    # dense rows that fit the cache (same float values, so decisions and
-    # accounting are unchanged) while each epoch's bound stays at or below
-    # the smallest excluded time, ``work_sentinel``; the rows are
-    # scattered back into the full arrays when the trial ends or the
-    # guarantee slips.
+    # (keys are positions in ``work``, an ascending slot subset).  Compact
+    # rows need a scheme that never removes slots and nobody reading or
+    # corrupting the full arrays; they hold every slot that may die before
+    # the trial ends, with every excluded death time ``>= work_sentinel``:
+    #
+    # * Some slots never wear (zero weight, an infinite death time): the
+    #   rows are the prone slots and the sentinel is infinite, so the
+    #   selection never declines.
+    # * Every slot wears: a replacement's new death time always lands at
+    #   or above the epoch bound that selected it -- that is exactly why
+    #   epoch grouping is chronologically safe -- so with at most
+    #   ``capacity`` replacements ever granted and at most ``BATCH_LIMIT``
+    #   slots selected per epoch, every epoch draws from the ``capacity +
+    #   BATCH_LIMIT`` smallest initial death times.  The rows are those
+    #   candidates while each epoch's bound stays at or below the smallest
+    #   excluded time, ``work_sentinel``.
+    #
+    # The rows copy the death times, backing lines and weights (same float
+    # values, so decisions and accounting are unchanged) into dense rows
+    # that fit the cache, and are scattered back into the full arrays when
+    # the trial ends or the guarantee slips.
     death_row, backing_row, weight_row = current_death, backing, weights
     work: Optional[np.ndarray] = None
     work_sentinel = math.inf
-    capacity = state.replacement_capacity(trial) if finite_rows else None
-    if capacity is not None:
-        limit = int(capacity) + BATCH_LIMIT + 1
-        if limit < current_death.size:
-            # Value partition: every slot strictly below the (limit+1)-th
-            # smallest death time, ascending (and so already sorted),
-            # every excluded time >= the sentinel.  Ties at the threshold
-            # land outside the set, so require enough candidates for the
-            # in-set partitions.
-            threshold = float(np.partition(current_death, limit)[limit])
-            candidates = np.flatnonzero(current_death < threshold)
-            if candidates.size > BATCH_LIMIT:
-                work = candidates
-                work_sentinel = threshold
-                death_row = current_death[work]
-                backing_row = backing[work]
-                if w_scalar is None:
-                    weight_row = weights[work]
+    if state.never_removes and sequential_ok and backing.size > 0:
+        if not distinct_values(weights).min() > 0.0:
+            work = np.flatnonzero(current_death < math.inf)
+        else:
+            capacity = state.replacement_capacity(trial)
+            limit = None if capacity is None else int(capacity) + BATCH_LIMIT + 1
+            if limit is not None and limit < current_death.size:
+                # Value partition: every slot strictly below the
+                # (limit+1)-th smallest death time, ascending (and so
+                # already sorted), every excluded time >= the sentinel.
+                # Ties at the threshold land outside the set, so require
+                # enough candidates for the in-set partitions.
+                threshold = float(np.partition(current_death, limit)[limit])
+                candidates = np.flatnonzero(current_death < threshold)
+                if candidates.size > BATCH_LIMIT:
+                    work = candidates
+                    work_sentinel = threshold
+    if work is not None:
+        death_row = current_death[work]
+        backing_row = backing[work]
+        if w_scalar is None:
+            weight_row = weights[work]
+    elif not backing.flags.writeable:
+        # Full rows write the backing: copy a shared one first.
+        backing = backing_row = backing.copy()
 
     def view():
         assert guard is not None
@@ -874,6 +854,8 @@ def _advance_trial(
                 # bodies stay byte-identical.
                 if metrics is not None:
                     metrics.inc("sim.compact_exits")
+                if not backing.flags.writeable:
+                    backing = backing.copy()
                 current_death[work] = death_row
                 backing[work] = backing_row
                 death_row, backing_row, weight_row = current_death, backing, weights
@@ -897,8 +879,8 @@ def _advance_trial(
         # Capacity-degradation failure truncates like the scalar loop: the
         # first removal dropping live slots below the floor is still
         # counted, everything after it never happens.  never_removes
-        # schemes cannot emit BATCH_REMOVE, so finite rows skip the scan.
-        if finite_rows:
+        # schemes cannot emit BATCH_REMOVE, so they skip the scan.
+        if state.never_removes:
             removal_positions = _EMPTY_POSITIONS
         else:
             removal_positions = np.flatnonzero(actions == BATCH_REMOVE)
@@ -1040,9 +1022,11 @@ def _advance_trial(
         metrics.inc("sim.run_deaths", run_deaths)
     if work is not None:
         # Publish the compact rows so post-trial consumers of the full
-        # arrays observe exactly the values the loop computed.
+        # arrays observe exactly the values the loop computed; a shared
+        # backing stays as it is.
         current_death[work] = death_row
-        backing[work] = backing_row
+        if backing.flags.writeable:
+            backing[work] = backing_row
     if guard is not None:
         guard.final_check(view)
     extra_meta = {

@@ -204,7 +204,7 @@ def exact_lifetime(
     """
     member = EnsembleMember(emap, attack, sparing, wearleveler, fault_model, rng)
     state = initialize_schemes([member], stacked=False)
-    trial = _init_trial(state, 0, member, [], {})
+    trial = _init_trial(state, 0, member, [])
     outcome = _run_exact(state, trial, record_timeline, max_timeline_events)
     return build_result(
         outcome,

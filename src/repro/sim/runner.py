@@ -98,6 +98,7 @@ from repro.sparing.none import NoSparing
 from repro.sparing.pcd import PCD
 from repro.sparing.ps import PS
 from repro.util.events import EventLog, SimEvent
+from repro.util.memo import memoized, run_memo
 from repro.util.rng import fork_seeds
 from repro.util.validation import require_fraction
 from repro.verify import snapshot
@@ -286,9 +287,22 @@ class SimTask:
         }
 
     def member(self, metrics: Optional[MetricsRegistry] = None) -> EnsembleMember:
-        """Build the task's components: emap, attack, sparing, wear-leveler."""
+        """Build the task's components: emap, attack, sparing, wear-leveler.
+
+        Inside a :meth:`SimRunner.run` the endurance map is the run's
+        shared one whenever the last task built the same device (see
+        :mod:`repro.util.memo`); the map is read-only either way.
+        """
+        config = self.config
+        device = (
+            config.regions,
+            config.lines_per_region,
+            float(config.q),
+            config.endurance_model,
+            config.seed if self.emap_seed is None else self.emap_seed,
+        )
         with maybe_span(metrics, "sim/endurance"):
-            emap = self.make_emap()
+            emap = memoized("emap", device, self.make_emap)
         with maybe_span(metrics, "sim/components"):
             return EnsembleMember(
                 emap=emap,
@@ -1360,7 +1374,9 @@ class SimRunner:
         jobs_used = 1
         previous_sigterm = self._install_sigterm_handler()
         try:
-            with metrics.span("runner/execute"):
+            # Tasks run in this thread share one device and plan per
+            # configuration; the memo goes when the run does.
+            with metrics.span("runner/execute"), run_memo():
                 if pending:
                     summary = self._backend.execute(
                         pending,

@@ -492,7 +492,23 @@ class BatchedSchemeState(ABC):
 
     @abstractmethod
     def backing(self, trial: int) -> np.ndarray:
-        """Fresh copy of trial ``trial``'s initial slot-to-line map."""
+        """Trial ``trial``'s initial slot-to-line map.
+
+        A stacked state may share it across trials and runs, read-only;
+        callers copy it before writing.
+        """
+
+    def initial_arrays(
+        self, trial: int, endurance: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """``(backing, budgets, total_endurance)`` of trial ``trial``.
+
+        ``budgets`` is ``endurance[backing]`` and ``total_endurance`` is
+        ``float(endurance.sum())``; like :meth:`backing`, the arrays may
+        be shared and read-only.
+        """
+        backing = self.backing(trial)
+        return backing, endurance[backing], float(endurance.sum())
 
     @abstractmethod
     def min_user_slots(self, trial: int) -> int:

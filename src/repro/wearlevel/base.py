@@ -44,6 +44,19 @@ from repro.util.rng import RandomState, derive_rng
 from repro.util.validation import require_fraction
 
 
+def distinct_values(weights: np.ndarray) -> np.ndarray:
+    """``weights``, or its first entry when it is a constant broadcast view.
+
+    A stride-0 view (a uniform distribution, see
+    :class:`~repro.wearlevel.none.NoWearLeveling`) holds one value, and
+    numpy reduces it several times slower than a dense array.  Reductions
+    that ignore multiplicity -- ``min``, ``max``, ``any``, the sign of a
+    sum, equality of two such views -- read the same values from the
+    returned array.
+    """
+    return weights[:1] if weights.size and weights.strides == (0,) else weights
+
+
 @dataclass(frozen=True)
 class WearDistribution:
     """Stationary wear distribution over slots.
@@ -65,9 +78,10 @@ class WearDistribution:
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a non-empty 1-D array")
-        if np.any(weights < 0):
+        values = distinct_values(weights)
+        if np.any(values < 0):
             raise ValueError("weights must be non-negative")
-        if weights.sum() <= 0:
+        if values.sum() <= 0:
             raise ValueError("weights must have positive sum")
         object.__setattr__(self, "weights", weights)
         require_fraction(self.useful_fraction, "useful_fraction")

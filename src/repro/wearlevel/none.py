@@ -44,7 +44,8 @@ class NoWearLeveling(WearLeveler):
         self._require_attached()
         count = self.slots
         if profile.kind == PROFILE_UNIFORM:
-            return WearDistribution(np.full(count, 1.0 / count))
+            # A read-only broadcast view: constant weights need no memory.
+            return WearDistribution(np.broadcast_to(1.0 / count, (count,)))
         if profile.kind == PROFILE_SKEWED:
             return WearDistribution(profile.logical_rates(count))
         if profile.kind == PROFILE_CONCENTRATED:

@@ -127,7 +127,7 @@ def test_lookahead_commit_matches_replace_chain(fallback):
             MaxWEStackedState([MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback)], [emap])
             for _ in range(2)
         )
-        backing = runs.backing(0)
+        backing = runs.backing(0).copy()
         rng = np.random.default_rng(seed)
         hot = rng.choice(backing.size, 8, replace=False).tolist()
         while True:
@@ -171,12 +171,13 @@ def test_stacked_plan_matches_maxwe_at_64_lines_per_region(metric, seed):
 
     plan = reference.plan
     np.testing.assert_array_equal(stacked.backing(0), reference.initial_backing)
-    paired = np.flatnonzero(stacked._sra_lookup[0] >= 0)
+    stacked_plan = stacked._plan(0)
+    paired = np.flatnonzero(stacked_plan.sra_lookup >= 0)
     np.testing.assert_array_equal(paired, np.sort(plan.rwr_regions))
-    np.testing.assert_array_equal(stacked._sra_lookup[0, plan.rwr_regions], plan.swr_regions)
-    np.testing.assert_array_equal(stacked._working[0], plan.working_regions)
-    np.testing.assert_array_equal(stacked._pool_lines[0], reference._pool_lines)
-    np.testing.assert_array_equal(stacked._pool_floor[0], reference._pool_floor)
+    np.testing.assert_array_equal(stacked_plan.sra_lookup[plan.rwr_regions], plan.swr_regions)
+    np.testing.assert_array_equal(stacked.backing(0)[::per] // per, plan.working_regions)
+    np.testing.assert_array_equal(stacked_plan.pool_lines, reference._pool_lines)
+    np.testing.assert_array_equal(stacked_plan.pool_floor, reference._pool_floor)
     swr_lines = (plan.swr_regions[:, None] * per + np.arange(per)).ravel()
-    assert stacked._swr_line_floor[0] == emap.line_endurance[swr_lines].min()
+    assert stacked_plan.swr_line_floor == emap.line_endurance[swr_lines].min()
     assert stacked.replacement_extra_floor(0) == reference.replacement_extra_floor()

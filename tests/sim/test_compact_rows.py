@@ -1,4 +1,4 @@
-"""Compact work rows: Max-WE under UAA stays on them for the whole trial.
+"""Compact work rows: Max-WE stays on them for the whole trial.
 
 The batched kernel copies the ``capacity + BATCH_LIMIT`` smallest
 initial death times of a never-removing scheme into compact work rows,
@@ -8,7 +8,9 @@ UAA ends in capped epochs whose cap stays below the work sentinel while
 the chronological bound passes it; those epochs need no excluded slot,
 so a decline there would be a wasted full-row partition on the paper's
 headline cell.  The tests count the declines and the selections made on
-full rows, with no wall clock involved.
+full rows, with no wall clock involved.  Under BPA without a
+wear-leveler every slot but one never wears, and the rows are the prone
+slots alone.
 """
 
 import json
@@ -18,10 +20,12 @@ import pytest
 
 import repro.sim.ensemble as ensemble_module
 import repro.sim.lifetime as lifetime_module
+from repro.attacks.bpa import BirthdayParadoxAttack
 from repro.attacks.uaa import UniformAddressAttack
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
+from repro.sim.reference import exact_lifetime
 from repro.sim.runner import build_sparing
 
 EXIT_COUNTER = "sim.compact_exits"
@@ -106,3 +110,50 @@ def test_a_decline_counts_one_exit_and_keeps_the_result(monkeypatch):
     )
     del counters[EXIT_COUNTER]
     assert counters == metrics.snapshot()["counters"]
+
+
+def _bpa(emap, seed, metrics=None, **options):
+    return simulate_lifetime(
+        emap,
+        BirthdayParadoxAttack(),
+        build_sparing("max-we", 0.1, 0.9),
+        rng=seed,
+        metrics=metrics,
+        **options,
+    )
+
+
+def _outcome(result):
+    """Everything but the regime counters, which guards pin differently."""
+    body = result.to_dict()
+    return {key: body[key] for key in body if key != "metadata"}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_max_we_under_bpa_keeps_rows_to_the_prone_slots(monkeypatch, seed):
+    """Without a wear-leveler BPA wears exactly one slot of a device
+    larger than ``FRONTIER_LIMIT``: every selection reads a row that
+    holds no more than the prone slots, never the full arrays, and the
+    result is the full-row run's."""
+    config = ExperimentConfig(regions=2048, lines_per_region=8, seed=seed)
+    emap = config.make_emap()
+    assert emap.lines > lifetime_module.FRONTIER_LIMIT
+    sizes = _spy(monkeypatch)
+    metrics = MetricsRegistry()
+    result = _bpa(emap, seed, metrics)
+    counters = metrics.snapshot()["counters"]
+    assert result.deaths > 1 and sizes
+    assert EXIT_COUNTER not in counters
+    assert max(sizes) <= 1  # one hot slot: the prone count
+    full_rows = _bpa(emap, seed, paranoia="cheap")
+    assert _outcome(result) == _outcome(full_rows)
+
+
+def test_max_we_under_bpa_on_prone_rows_matches_the_oracle():
+    config = ExperimentConfig(regions=256, lines_per_region=2, seed=5)
+    emap = config.make_emap()
+    result = _bpa(emap, 5)
+    oracle = exact_lifetime(
+        emap, BirthdayParadoxAttack(), build_sparing("max-we", 0.1, 0.9), rng=5
+    )
+    assert _outcome(result) == _outcome(oracle)

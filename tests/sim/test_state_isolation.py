@@ -21,6 +21,7 @@ from repro.sim.config import ExperimentConfig
 from repro.sim.lifetime import simulate_lifetime
 from repro.sparing.pcd import PCD
 from repro.sparing.ps import PS
+from repro.util.memo import run_memo
 from repro.wearlevel import make_scheme
 
 SMALL = ExperimentConfig(regions=128, lines_per_region=2, seed=7)
@@ -105,6 +106,28 @@ class TestSchemeIsolation:
         [state] = built
         assert isinstance(state, MaxWEStackedState)
         np.testing.assert_array_equal(state.backing(0), expected)
+
+    def test_shared_backing_and_budgets_are_write_protected(self):
+        """The stacked plan's backing and budgets are shared by every
+        trial of the map (and, inside a runner run, by every simulation
+        of it): nobody may write them, and runs on them leave them as
+        they were."""
+        emap = SMALL.make_emap()
+        with run_memo():
+            state = MaxWEStackedState([MaxWE(0.1, 0.9)], [emap])
+            backing, budgets, _ = state.initial_arrays(0, emap.line_endurance)
+            assert state.backing(0) is backing
+            before = (backing.copy(), budgets.copy())
+            for array in (backing, budgets):
+                with pytest.raises(ValueError):
+                    array[0] = array[1]
+            for attack in (UniformAddressAttack(), BirthdayParadoxAttack()):
+                result = simulate_lifetime(emap, attack, MaxWE(0.1, 0.9), rng=7)
+                assert result.replacements > 0
+            shared = MaxWEStackedState([MaxWE(0.1, 0.9)], [emap])
+            assert shared.backing(0) is backing  # the runs used this plan
+        np.testing.assert_array_equal(backing, before[0])
+        np.testing.assert_array_equal(budgets, before[1])
 
     def test_shared_emap_runs_are_exactly_repeatable(self):
         """The sweep-driver pattern: one emap, many runs.  Any cross-run
