@@ -22,8 +22,9 @@ aggregate >= 10x speedup acceptance bar.
 Both modes run the shared-device leg: one ``run_batch`` of Max-WE under
 UAA and under BPA on one 16384x64 device, reporting its phases, how many
 endurance maps and allocation plans it built (counted by wrapping the
-builders here) and its tracemalloc peak -- counts and bytes CI can gate
-on.
+builders here), each spec's ``_init_trial`` time, the death-time entries
+its epoch selections read (``sim.selection_slots``) and its tracemalloc
+peak -- counts and bytes CI can gate on.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from pathlib import Path
 from time import perf_counter
 
 import repro.core.maxwe as maxwe_module
+import repro.sim.ensemble as ensemble_module
 from repro.attacks.bpa import BirthdayParadoxAttack
 from repro.attacks.uaa import UniformAddressAttack
 from repro.obs.metrics import MetricsRegistry
@@ -104,11 +106,18 @@ def _run_exact(config: ExperimentConfig, scheme: str) -> tuple:
     return result, perf_counter() - start
 
 
+def _selection_slots(snapshot: dict) -> int:
+    """Entries the vectorized epoch selections read, summed over trials."""
+    histogram = snapshot["histograms"].get("sim.selection_slots")
+    return int(histogram["sum"]) if histogram else 0
+
+
 def _run(config: ExperimentConfig, scheme: str, engine: str, attack=None) -> tuple:
     """One timed simulation with a fresh scheme instance; returns
     ``(result, seconds, phases, counters)`` where ``phases`` is the leg's
     per-span breakdown (``sim/init``, ``sim/kernel``) and ``counters``
-    the metrics counters, both from its own registry."""
+    the metrics counters plus ``selection_slots``, all from its own
+    registry."""
     emap = config.make_emap()
     attack = attack if attack is not None else UniformAddressAttack()
     sparing = build_sparing(scheme, config.spare_fraction, config.swr_fraction)
@@ -128,17 +137,28 @@ def _run(config: ExperimentConfig, scheme: str, engine: str, attack=None) -> tup
         name: round(float(timing["sum"]), 4)
         for name, timing in snapshot["timings"].items()
     }
-    return result, perf_counter() - start, phases, snapshot["counters"]
+    counters = dict(snapshot["counters"], selection_slots=_selection_slots(snapshot))
+    return result, perf_counter() - start, phases, counters
 
 
 def _shared_device_leg(config: ExperimentConfig) -> dict:
     """One ``run_batch`` of :data:`SHARED_SPECS` on ``config``'s device.
 
-    A timed run gives the seconds, phases and builds; a second run under
-    ``tracemalloc`` gives the peak of traced allocations.
+    A timed run gives the seconds, phases, builds, each spec's
+    ``_init_trial`` milliseconds (in spec order) and the deaths and
+    selection reads; a second run under ``tracemalloc`` gives the peak
+    of traced allocations.
     """
     builds = {"maps": 0, "plans": 0}
     make_emap, stacked_plan = SimTask.make_emap, maxwe_module._stacked_plan
+    init_trial = ensemble_module._init_trial
+    init_ms = []
+
+    def time_init(*args):
+        started = perf_counter()
+        trial = init_trial(*args)
+        init_ms.append(round(1000.0 * (perf_counter() - started), 3))
+        return trial
 
     def count_map(task):
         builds["maps"] += 1
@@ -149,6 +169,7 @@ def _shared_device_leg(config: ExperimentConfig) -> dict:
         return stacked_plan(*args)
 
     SimTask.make_emap, maxwe_module._stacked_plan = count_map, count_plan
+    ensemble_module._init_trial = time_init
     try:
         metrics = MetricsRegistry()
         start = perf_counter()
@@ -157,13 +178,15 @@ def _shared_device_leg(config: ExperimentConfig) -> dict:
         map_builds, plan_builds = builds["maps"], builds["plans"]
     finally:
         SimTask.make_emap, maxwe_module._stacked_plan = make_emap, stacked_plan
+        ensemble_module._init_trial = init_trial
     tracemalloc.start()
     try:
         run_batch(SHARED_SPECS, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    timings = metrics.snapshot()["timings"]
+    snapshot = metrics.snapshot()
+    timings = snapshot["timings"]
     return {
         "lines": config.regions * config.lines_per_region,
         "regions": config.regions,
@@ -176,6 +199,9 @@ def _shared_device_leg(config: ExperimentConfig) -> dict:
         },
         "map_builds": map_builds,
         "plan_builds": plan_builds,
+        "init_trial_ms": dict(zip((spec.label for spec in SHARED_SPECS), init_ms)),
+        "deaths": snapshot["counters"]["sim.deaths"],
+        "selection_slots": _selection_slots(snapshot),
         "traced_peak_mb": round(peak / 1e6, 2),
     }
 
@@ -325,6 +351,9 @@ def run_bench(quick: bool = False) -> dict:
                 # the full arrays: a metrics-only counter, absent from
                 # result metadata.
                 "compact_exits": counters.get("sim.compact_exits", 0),
+                # Death-time entries the vectorized selections read: the
+                # compact row's one sort, then its heads.
+                "selection_slots": counters["selection_slots"],
                 "failure_reason": result.failure_reason,
             }
         payload["full_scale"] = {

@@ -65,6 +65,10 @@ def _engine_rows(payload: dict) -> Iterator[dict]:
             yield _row("engine", f"full_scale_{name}_compact_exits",
                        run["compact_exits"], "exits",
                        "compact work rows left for the full arrays")
+        if run.get("selection_slots") is not None:
+            yield _row("engine", f"full_scale_{name}_selection_slots",
+                       run["selection_slots"], "entries",
+                       f"{run.get('deaths')} deaths")
     shared = payload.get("shared_device") or {}
     if shared.get("seconds") is not None:
         phases = shared.get("phases") or {}
@@ -74,6 +78,13 @@ def _engine_rows(payload: dict) -> Iterator[dict]:
         if shared.get(name) is not None:
             yield _row("engine", f"shared_device_{name}", shared[name], "builds",
                        f"{shared.get('lines')} lines, {len(shared.get('specs', ()))} sims")
+    for label, ms in (shared.get("init_trial_ms") or {}).items():
+        yield _row("engine", f"shared_device_init_trial_{label.split('/')[-1]}",
+                   ms, "ms", f"_init_trial, {label}")
+    if shared.get("selection_slots") is not None:
+        yield _row("engine", "shared_device_selection_slots",
+                   shared["selection_slots"], "entries",
+                   f"{shared.get('deaths')} deaths")
     if shared.get("traced_peak_mb") is not None:
         yield _row("engine", "shared_device_traced_peak", shared["traced_peak_mb"],
                    "MB", "tracemalloc peak of one run_batch")

@@ -28,7 +28,7 @@ each Max-WE ingredient contributes.
 (``weak-priority`` + ``weak-strong``) is a pure function of the endurance
 map, which is what lets ``repro.core.maxwe.MaxWEStackedState`` rebuild
 this plan for ``T`` trials without instantiating ``T`` schemes: a
-partition-based ``_stable_rank_prefix`` over each trial's region
+partition-based ``stable_rank_prefix`` over each trial's region
 endurances reproduces the first ``2*swr + additional`` entries of
 ``rank_regions`` (both break ties by ascending region id), which is all
 the plan consumes, and

@@ -48,7 +48,7 @@ from repro.sparing.base import (
     SpareScheme,
 )
 from repro.util.memo import memoized
-from repro.util.sorting import stable_value_argsort
+from repro.util.sorting import stable_rank_prefix
 from repro.util.validation import require_fraction
 
 #: Slot backing states (array codes).
@@ -580,30 +580,6 @@ class MaxWE(SpareScheme):
         return MaxWEStackedState(schemes, emaps)
 
 
-def _stable_rank_prefix(values: np.ndarray, need: int) -> np.ndarray:
-    """First ``need`` entries of ``np.argsort(values, kind="stable")``.
-
-    A full stable argsort costs ``O(n log n)`` over all ``n`` regions;
-    the allocation plan only consumes the weakest ``need`` of them.  An
-    ``np.partition`` finds the boundary value in ``O(n)``, the prefix is
-    gathered by value, and ties *at* the boundary are resolved exactly as
-    the stable sort would -- ascending index -- because ``flatnonzero``
-    emits indices in ascending order and the final stable sort of the
-    gathered values keeps equal values in gather order.
-    """
-    n = values.size
-    if need <= 0:
-        return np.empty(0, dtype=np.intp)
-    if need >= n:
-        return np.argsort(values, kind="stable")
-    boundary = np.partition(values, need - 1)[need - 1]
-    head = np.flatnonzero(values < boundary)
-    ties = np.flatnonzero(values == boundary)[: need - head.size]
-    prefix = np.concatenate([head, ties])
-    order = stable_value_argsort(values[prefix])
-    return prefix[order]
-
-
 class _StackedPlan(NamedTuple):
     """One map's weak-priority / weak-strong allocation, read-only.
 
@@ -638,7 +614,7 @@ def _stacked_plan(
     offsets = np.arange(per, dtype=np.intp)
     line_endurance = emap.line_endurance
     # EnduranceMap.rank_regions prefix: stable, ties by region id.
-    prefix = _stable_rank_prefix(emap.region_endurance(metric), need)
+    prefix = stable_rank_prefix(emap.region_endurance(metric), need)
     swr = prefix[:swr_count]
     rwr = prefix[swr_count : 2 * swr_count]
     additional = prefix[2 * swr_count : need]
@@ -695,10 +671,11 @@ class MaxWEStackedState(BatchedSchemeState):
     because
 
     * the weak-priority / weak-strong plan is a pure function of the
-      endurance map -- :func:`_stable_rank_prefix` reproduces the first
-      ``2*swr + additional`` entries of the stable region ranking that
-      :meth:`EnduranceMap.rank_regions` produces (both break ties by
-      ascending region id), which is all the plan consumes, and the
+      endurance map -- :func:`~repro.util.sorting.stable_rank_prefix`
+      reproduces the first ``2*swr + additional`` entries of the stable
+      region ranking that :meth:`EnduranceMap.rank_regions` produces
+      (both break ties by ascending region id), which is all the plan
+      consumes, and the
       paired-slice identities ``swr_paired == ranking[:k]`` /
       ``rwr_paired == ranking[k:2k][::-1]`` hold because a stable argsort
       of an already-ascending slice is the identity permutation;

@@ -19,9 +19,11 @@ one engine invocation:
   (identical inputs give identical floats, so sharing is bit-safe).  The
   total is the exact (correctly rounded) sum, the same bits as
   ``math.fsum``, from :func:`~repro.util.exactsum.exact_sum`'s cheapest
-  applicable tier: a constant vector (every UAA run), two values (the
-  concentrated BPA profile), or exponent-bucketed integer mantissas
-  (endurance-aware wear-levelers' distinct weights).
+  applicable tier: a constant vector (every UAA run), two values (a
+  concentrated profile under background traffic), or exponent-bucketed
+  integer mantissas (endurance-aware wear-levelers' distinct weights).
+  A distribution that lists its prone slots (BPA without a wear-leveler
+  wears one) is read at those slots alone.
 
 The module also owns the one place a fluid run is initialized,
 :func:`simulate_ensemble`, and the one epoch kernel,
@@ -155,7 +157,12 @@ def _select_epoch(
     A capped epoch with ``t_max`` below the sentinel is served whatever
     the bound: the ``BATCH_LIMIT`` smallest times all lie in the subset,
     and the epoch reads nothing else.
+
+    The kernel passes each compact row as a :class:`_SortedRow`, which
+    serves this same epoch (or decline) from its sorted head.
     """
+    if isinstance(row, _SortedRow):
+        return row.select(floor, w_max, sentinel)
     from repro.sim.lifetime import BATCH_LIMIT
 
     t_min = float(row.min()) if row.size else math.inf
@@ -194,6 +201,222 @@ def _select_epoch(
     return pos[order], times[order]
 
 
+class _SortedRow:
+    """A compact work row, sorted once by ``(time, key)``, served from its head.
+
+    Every epoch :func:`_select_epoch` picks is a prefix of the row in
+    ``(time, key)`` order, so the row is sorted once (a stable argsort;
+    keys ascend with the row) and each selection reads only the heads of
+    three disjoint parts that together hold every key's current time:
+
+    * the **initial order**: keys never served, whose times are still the
+      row's initial ones; selections advance a head index over it;
+    * the **merged** re-inserted times, as ``time + 1j * key``: numpy
+      orders complex numbers lexicographically, so the part stays sorted
+      by ``(time, key)`` and binary searches count it;
+    * the **staged** keys served since they were last merged.  The kernel
+      stores their new times in ``times`` before the next selection,
+      which reads them back, unsorted, with their minimum.
+
+    A selection decides the epoch from the initial order and the merged
+    part, and names the staged times that could change the decision:
+    those below the cap ``t_max`` (at or below it when the epoch is a
+    whole tie class), else below the bound (at or below it when the
+    earliest death alone is taken), else every finite one.  It merges
+    them (only ``BATCH_LIMIT`` of the smallest at a time, unless they are
+    needed whole) and decides again.  The count of finite times is kept
+    exactly, which decides the cap without reading past it.  Max-WE under
+    UAA re-inserts times above every cap but the last, so it merges one
+    batch in its last epoch.  ``reads`` counts the entries the
+    row has sorted, read back, gathered or merged
+    (``sim.selection_slots``).
+
+    The row stays valid while the kernel changes no entry of ``times``
+    but the keys it was served; the frontier regime changes others, so
+    the kernel drops the row on entering it.
+    """
+
+    __slots__ = (
+        "times",
+        "size",
+        "reads",
+        "_keys",
+        "_sorted",
+        "_head",
+        "_finite",
+        "_merged",
+        "_staged",
+        "_staged_min",
+        "_served",
+    )
+
+    def __init__(self, times: np.ndarray) -> None:
+        self.times = times
+        self.size = int(times.size)
+        order = np.argsort(times, kind="stable")
+        self._sorted = times[order]
+        # Half the memory of the order, for as long as the trial runs.
+        self._keys = order.astype(np.int32 if self.size < 2**31 else np.intp)
+        del order
+        self._head = 0
+        self._finite = int(np.searchsorted(self._sorted, math.inf))
+        self._merged = np.empty(0, dtype=complex)
+        self._staged: List[np.ndarray] = []
+        self._staged_min = math.inf
+        self._served = _EMPTY_POSITIONS
+        self.reads = self.size
+
+    def select(
+        self, floor: Optional[float], w_max: float, sentinel: float
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """:func:`_select_epoch` of the current times, from the sorted heads."""
+        served = self._served
+        if served.size:
+            new = self.times[served]
+            self.reads += served.size
+            self._finite -= int(np.count_nonzero(new == math.inf))
+            self._staged_min = min(self._staged_min, float(new.min()))
+            self._staged.append(served)
+        while True:
+            taken, cutoff, inclusive = self._decide(floor, w_max, sentinel)
+            low = self._staged_min
+            if not self._staged or not (low < cutoff or inclusive and low == cutoff):
+                break
+            self._merge(cutoff, inclusive)
+        if taken is None:
+            return None
+        return self._take(*taken)
+
+    def _decide(
+        self, floor: Optional[float], w_max: float, sentinel: float
+    ) -> Tuple[Optional[Tuple[int, int]], float, bool]:
+        """How many initial and merged entries the epoch takes (``None``
+        to decline), and which staged times could change that: those
+        below the returned time, or at it too when ``inclusive``."""
+        from repro.sim.lifetime import BATCH_LIMIT
+
+        initial = self._sorted[self._head :]
+        merged = self._merged
+        t_initial = float(initial[0]) if initial.size else math.inf
+        t_merged = float(merged[0].real) if merged.size else math.inf
+        t_min = min(t_initial, t_merged)
+        if not t_min < sentinel:
+            return ((0, 0) if math.isinf(sentinel) else None), math.inf, False
+        bound = t_min if floor is None else t_min + floor / w_max
+        below = self._count(bound, "left") if bound < math.inf else None
+        capped = (
+            self.size > BATCH_LIMIT
+            and self._finite > BATCH_LIMIT
+            and (below is None or sum(below) >= BATCH_LIMIT)
+        )
+        if capped:
+            t_max = self._rank(BATCH_LIMIT - 1)
+            if not t_max < sentinel:
+                return None, t_max, False
+            taken = self._count(t_max, "left")
+            if sum(taken):
+                return taken, t_max, False
+            # Every one of the BATCH_LIMIT smallest ties: the whole class.
+            return self._count(t_max, "right"), t_max, True
+        if below is None:
+            return self._count(math.inf, "left"), math.inf, False
+        if sentinel < bound:
+            return None, bound, False
+        if sum(below):
+            return below, bound, False
+        # The earliest death alone, ties broken by key.
+        initial_first = t_initial < t_merged or (
+            t_initial == t_merged and self._keys[self._head] < merged[0].imag
+        )
+        return ((1, 0) if initial_first else (0, 1)), bound, True
+
+    def _count(self, time: float, side: str) -> Tuple[int, int]:
+        """Initial and merged entries below ``time`` (``"left"``) or at
+        or below it (``"right"``)."""
+        initial = int(np.searchsorted(self._sorted[self._head :], time, side))
+        if not self._merged.size:
+            return initial, 0
+        # Keys are non-negative: a probe ``time - 1j`` sorts before every
+        # entry at ``time``, one at ``time + inf * 1j`` after all of them.
+        probe = complex(time, -1.0 if side == "left" else math.inf)
+        return initial, int(np.searchsorted(self._merged, probe))
+
+    def _rank(self, rank: int) -> float:
+        """The time of 0-based ``rank`` over the initial and merged
+        entries, infinite past their end."""
+        initial = self._sorted[self._head : self._head + rank + 1]
+        merged = self._merged[: rank + 1]
+        self.reads += initial.size + merged.size
+        if merged.size:
+            initial = np.concatenate([initial, merged.real])
+            if initial.size > rank:
+                initial = np.partition(initial, rank)
+        return float(initial[rank]) if initial.size > rank else math.inf
+
+    def _take(self, initial: int, merged: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Serve the first ``initial`` and ``merged`` entries, in
+        ``(time, key)`` order."""
+        head = self._head
+        keys = self._keys[head : head + initial].astype(np.intp)
+        times = self._sorted[head : head + initial]
+        self._head = head + initial
+        if merged:
+            entries = self._merged[:merged]
+            self._merged = self._merged[merged:]
+            keys = np.concatenate([keys, entries.imag.astype(np.intp)])
+            times = np.concatenate([times, entries.real])
+            if initial:
+                order = np.lexsort((keys, times))
+                keys, times = keys[order], times[order]
+        self.reads += keys.size
+        self._served = keys
+        return keys, times
+
+    def _merge(self, cutoff: float, inclusive: bool) -> None:
+        """Merge the staged times below ``cutoff`` (or at it too when
+        ``inclusive``); unless ``inclusive``, only ``BATCH_LIMIT`` of the
+        smallest, enough to decide a capped epoch.  Temporaries are freed
+        as they go: the staged keys may span most of the row."""
+        from repro.sim.lifetime import BATCH_LIMIT
+
+        keys = np.concatenate(self._staged)
+        self._staged = []
+        times = self.times[keys]
+        self.reads += keys.size
+        due = times <= cutoff if inclusive else times < cutoff
+        count = int(np.count_nonzero(due))
+        if not inclusive and count > BATCH_LIMIT:
+            # BATCH_LIMIT of the smallest times: every time below the
+            # BATCH_LIMIT-th smallest, and enough of the ties at it.  The
+            # ties left staged can change only a whole-tie-class epoch,
+            # whose inclusive cutoff merges them on the next pass.
+            candidates = times[due]
+            candidates.partition(BATCH_LIMIT - 1)
+            last = candidates[BATCH_LIMIT - 1]
+            del candidates
+            np.less(times, last, out=due)
+            room = BATCH_LIMIT - int(np.count_nonzero(due))
+            due[np.flatnonzero(times == last)[:room]] = True
+            count = BATCH_LIMIT
+        order = np.flatnonzero(due)
+        order = order[np.lexsort((keys[order], times[order]))]
+        entries = np.empty(count, dtype=complex)
+        entries.real = times[order]
+        entries.imag = keys[order]
+        del order
+        merged = self._merged
+        if merged.size:
+            entries = np.insert(merged, np.searchsorted(merged, entries), entries)
+        self.reads += entries.size
+        self._merged = entries
+        self._staged_min = math.inf
+        if count < keys.size:
+            np.logical_not(due, out=due)
+            self._staged_min = float(times[due].min())
+            del times
+            self._staged.append(keys[due])
+
+
 def initialize_schemes(
     members: Sequence[EnsembleMember], *, stacked: bool
 ) -> BatchedSchemeState:
@@ -220,6 +443,15 @@ def initialize_schemes(
     return state
 
 
+def _death_times(
+    slots: int, prone: np.ndarray, prone_death: np.ndarray
+) -> np.ndarray:
+    """Every slot's death time: ``prone_death`` at ``prone``, else never."""
+    current_death = np.full(slots, math.inf)
+    current_death[prone] = prone_death
+    return current_death
+
+
 class _Trial(NamedTuple):
     """One member's kernel inputs and result descriptions."""
 
@@ -229,10 +461,12 @@ class _Trial(NamedTuple):
     min_user_slots: int
     weights: np.ndarray
     eta: float
-    current_death: np.ndarray
+    current_death: Optional[np.ndarray]
     active_weight: float
     w_max: float
     w_scalar: Optional[float]
+    prone: Optional[np.ndarray]
+    prone_death: Optional[np.ndarray]
     describe: dict
 
 
@@ -251,10 +485,14 @@ def _init_trial(
     through ``weight_cache`` across members with equal weights.  A
     constant weight vector (a uniform profile without a wear-leveler, a
     read-only broadcast view) sets ``w_scalar``, so the kernel divides by
-    the scalar instead of gathering weights.  The backing and budgets may
-    be the scheme state's shared read-only arrays (see
+    the scalar instead of gathering weights.  A distribution that lists
+    its prone slots (BPA without a wear-leveler wears one slot) is read
+    at those slots alone, past the cache.  Whenever some slot never
+    wears, ``prone`` holds the ascending prone slots and ``prone_death``
+    their death times, and ``current_death`` is ``None``.  The backing
+    and budgets may be the scheme state's shared read-only arrays (see
     :meth:`~repro.sparing.base.BatchedSchemeState.initial_arrays`); the
-    death times are always a fresh array.
+    death times are always fresh arrays.
     """
     fault_model = member.fault_model if member.fault_model is not None else FaultModel()
     endurance = fault_model.effective_endurance(member.emap.line_endurance)
@@ -275,42 +513,58 @@ def _init_trial(
         )
     eta = distribution.useful_fraction
 
-    # ``min() > 0`` is the allocation-free spelling of
-    # ``(weights > 0).all()``; weights are finite by contract.
-    values = distinct_values(weights)
-    w_min = float(values.min()) if slots else 0.0
+    prone = distribution.prone
+    if prone is not None:
+        # A concentrated profile lists its few prone slots and leaves
+        # every other weight zero, so the extremes, the exact total (the
+        # zeros add nothing to it) and the death times read the prone
+        # entries alone.
+        prone_weights = weights[prone]
+        w_lo, w_max = float(prone_weights.min()), float(prone_weights.max())
+        active_weight = exact_sum(prone_weights, w_lo, w_max)
+        w_min = w_lo if prone.size == slots else 0.0
+    else:
+        # ``min() > 0`` is the allocation-free spelling of
+        # ``(weights > 0).all()``; weights are finite by contract.
+        values = distinct_values(weights)
+        w_min = float(values.min()) if slots else 0.0
+        active_weight = None
+        w_max = 0.0
+        for shape, cached, cached_sum, cached_max in weight_cache:
+            # Comparing a constant view by its one value may miss an equal
+            # dense vector; a miss only recomputes the same exact sum.
+            if shape == weights.shape and np.array_equal(cached, values):
+                active_weight, w_max = cached_sum, cached_max
+                break
+        if active_weight is None:
+            # The initial active weight is the one sum every served-writes
+            # increment multiplies, so it is exact: correctly rounded, the
+            # same bits as ``math.fsum`` (a uniform 20-slot profile must
+            # sum to 1.0).  The extremes pick the cheapest exact tier.
+            w_max = float(values.max()) if slots else 0.0
+            active_weight = exact_sum(weights, w_min, w_max)
+            if len(weight_cache) < 8:
+                weight_cache.append((weights.shape, values, active_weight, w_max))
     all_prone = slots > 0 and w_min > 0.0
-
-    active_weight = None
-    w_max = 0.0
-    for shape, cached, cached_sum, cached_max in weight_cache:
-        # Comparing a constant view by its one value may miss an equal
-        # dense vector; a miss only recomputes the same exact sum.
-        if shape == weights.shape and np.array_equal(cached, values):
-            active_weight, w_max = cached_sum, cached_max
-            break
-    if active_weight is None:
-        # The initial active weight is the one sum every served-writes
-        # increment multiplies, so it is exact: correctly rounded, the
-        # same bits as ``math.fsum`` (a uniform 20-slot profile must sum
-        # to 1.0).  The extremes pick the cheapest exact tier.
-        w_max = float(values.max()) if slots else 0.0
-        active_weight = exact_sum(weights, w_min, w_max)
-        if len(weight_cache) < 8:
-            weight_cache.append((weights.shape, values, active_weight, w_max))
 
     # With every slot wear-prone the masked assignment collapses to one
     # full divide, and with constant weights to a divide by the scalar:
-    # every branch produces the same quotients bit for bit.
+    # every branch produces the same quotients bit for bit.  When some
+    # slot never wears, the prone slots' times are all the compact rows
+    # read, and the full array is left to the paths that read it
+    # (:func:`_death_times`).
     w_scalar = w_min if all_prone and w_min == w_max else None
+    prone_death = current_death = None
     if w_scalar is not None:
         current_death = budgets / w_scalar
+        prone = None
     elif all_prone:
         current_death = budgets / weights
+        prone = None
     else:
-        prone = weights > 0.0
-        current_death = np.full(slots, math.inf)
-        current_death[prone] = budgets[prone] / weights[prone]
+        if prone is None:
+            prone = np.flatnonzero(weights > 0.0)
+        prone_death = budgets[prone] / weights[prone]
 
     return _Trial(
         endurance=endurance,
@@ -323,6 +577,8 @@ def _init_trial(
         active_weight=active_weight,
         w_max=w_max,
         w_scalar=w_scalar,
+        prone=prone,
+        prone_death=prone_death,
         describe={
             "attack": member.attack.describe(),
             "sparing": state.describe(index),
@@ -486,6 +742,8 @@ def simulate_ensemble(
                     record_timeline=record_timeline,
                     max_timeline_events=max_timeline_events,
                     w_scalar=trial.w_scalar,
+                    prone=trial.prone,
+                    prone_death=trial.prone_death,
                     metrics=metrics,
                 )
             result = build_result(
@@ -515,7 +773,7 @@ def _advance_trial(
     backing: np.ndarray,
     weights: np.ndarray,
     eta: float,
-    current_death: np.ndarray,
+    current_death: Optional[np.ndarray],
     min_user_slots: int,
     active_weight: float,
     w_max: float,
@@ -526,6 +784,8 @@ def _advance_trial(
     record_timeline: bool,
     max_timeline_events: int,
     w_scalar: Optional[float] = None,
+    prone: Optional[np.ndarray] = None,
+    prone_death: Optional[np.ndarray] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[float, int, int, str, List[TimelineEvent], dict]:
     """Advance one trial to device failure: the batched epoch kernel.
@@ -539,16 +799,24 @@ def _advance_trial(
     ``w_scalar`` may be set when every entry of ``weights`` equals it, and
     scalar divisions then replace the elementwise gathers
     bit-identically.  ``backing`` may be shared and read-only: the loop
-    then writes only its compact rows, or a copy.
+    then writes only its compact rows, or a copy.  ``current_death`` is
+    ``None`` when ``prone`` lists the only slots that wear, with their
+    times in ``prone_death``: the loop builds the full array only for
+    full rows.
 
     The selection strategy follows from what the loop can observe, never
     from an option; every strategy selects exactly the same epochs:
 
     * the **value partition** (:func:`_select_epoch`) over the full
-      arrays, or over **compact work rows** when the scheme never removes
-      slots and no guard or corruptor inspects or mutates the full
-      arrays: the prone slots when some slots never wear, else the
-      candidates the replacement capacity allows, if it is known;
+      arrays;
+    * the **sorted candidate row** (:class:`_SortedRow`) over **compact
+      work rows**, when the scheme never removes slots and no guard or
+      corruptor inspects or mutates the full arrays: the prone slots when
+      some slots never wear (``prone``, listed by the trial's init), else
+      the candidates the replacement capacity allows, if it is known.
+      The row is sorted once by ``(time, key)`` and each epoch is read
+      from its head and the few re-inserted times it may involve, so a
+      selection costs O(epoch), not O(row);
     * the **death-frontier** sequential regime after
       :data:`~repro.sim.lifetime.SEQUENTIAL_ENTER_STREAK` consecutive
       one-death epochs, handing back to the vectorized selection the
@@ -614,8 +882,8 @@ def _advance_trial(
     # the trial ends, with every excluded death time ``>= work_sentinel``:
     #
     # * Some slots never wear (zero weight, an infinite death time): the
-    #   rows are the prone slots and the sentinel is infinite, so the
-    #   selection never declines.
+    #   rows are the prone slots (``prone``, from the trial's init) and
+    #   the sentinel is infinite, so the selection never declines.
     # * Every slot wears: a replacement's new death time always lands at
     #   or above the epoch bound that selected it -- that is exactly why
     #   epoch grouping is chronologically safe -- so with at most
@@ -628,13 +896,19 @@ def _advance_trial(
     # The rows copy the death times, backing lines and weights (same float
     # values, so decisions and accounting are unchanged) into dense rows
     # that fit the cache, and are scattered back into the full arrays when
-    # the trial ends or the guarantee slips.
+    # the trial ends or the guarantee slips.  Vectorized selections on
+    # compact rows read ``rows``, the death-time row sorted once by
+    # (time, key), from its head; the frontier regime drops it, and the
+    # next vectorized selection sorts the row again.
     death_row, backing_row, weight_row = current_death, backing, weights
+    rows: Optional[_SortedRow] = None
+    # Entries the vectorized selections read (``sim.selection_slots``).
+    selection_slots = 0
     work: Optional[np.ndarray] = None
     work_sentinel = math.inf
     if state.never_removes and sequential_ok and backing.size > 0:
-        if not distinct_values(weights).min() > 0.0:
-            work = np.flatnonzero(current_death < math.inf)
+        if prone is not None:
+            work = prone
         else:
             capacity = state.replacement_capacity(trial)
             limit = None if capacity is None else int(capacity) + BATCH_LIMIT + 1
@@ -650,13 +924,16 @@ def _advance_trial(
                     work = candidates
                     work_sentinel = threshold
     if work is not None:
-        death_row = current_death[work]
+        death_row = prone_death if prone is not None else current_death[work]
         backing_row = backing[work]
         if w_scalar is None:
             weight_row = weights[work]
-    elif not backing.flags.writeable:
-        # Full rows write the backing: copy a shared one first.
-        backing = backing_row = backing.copy()
+    else:
+        if current_death is None:
+            death_row = current_death = _death_times(backing.size, prone, prone_death)
+        if not backing.flags.writeable:
+            # Full rows write the backing: copy a shared one first.
+            backing = backing_row = backing.copy()
 
     def view():
         assert guard is not None
@@ -847,7 +1124,16 @@ def _advance_trial(
                 times = np.asarray(picked[1], dtype=float)
         if keys is None:
             full_scans += 1
-            found = _select_epoch(death_row, floor, w_max_active, work_sentinel)
+            if work is not None and rows is None:
+                rows = _SortedRow(death_row)
+            found = _select_epoch(
+                death_row if rows is None else rows,
+                floor,
+                w_max_active,
+                work_sentinel,
+            )
+            if rows is None:
+                selection_slots += death_row.size
             if found is None:
                 # Guarantee slipped: full rows from here on.  Counted in
                 # the registry only (``sim.compact_exits``), so result
@@ -861,6 +1147,8 @@ def _advance_trial(
                 death_row, backing_row, weight_row = current_death, backing, weights
                 work = None
                 work_sentinel = math.inf
+                selection_slots += rows.reads + current_death.size
+                rows = None
                 found = _select_epoch(current_death, floor, w_max_active)
             keys, times = found
             if not keys.size:
@@ -1013,6 +1301,9 @@ def _advance_trial(
                         frontier = candidate
                         size1_streak = 0
                         regime_switches += 1
+                        if rows is not None:
+                            selection_slots += rows.reads
+                            rows = None
             else:
                 size1_streak = 0
 
@@ -1020,11 +1311,16 @@ def _advance_trial(
         metrics.observe("sim.epoch_size", 1, count=unrecorded_singles)
     if metrics is not None and run_deaths:
         metrics.inc("sim.run_deaths", run_deaths)
+    if rows is not None:
+        selection_slots += rows.reads
+    if metrics is not None:
+        metrics.observe("sim.selection_slots", selection_slots)
     if work is not None:
         # Publish the compact rows so post-trial consumers of the full
         # arrays observe exactly the values the loop computed; a shared
-        # backing stays as it is.
-        current_death[work] = death_row
+        # backing and unbuilt death times stay as they are.
+        if current_death is not None:
+            current_death[work] = death_row
         if backing.flags.writeable:
             backing[work] = backing_row
     if guard is not None:

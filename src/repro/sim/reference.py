@@ -28,7 +28,13 @@ from repro.attacks.base import AttackModel
 from repro.device.bank import NVMBank
 from repro.device.faults import FaultModel
 from repro.endurance.emap import EnduranceMap
-from repro.sim.ensemble import EnsembleMember, _init_trial, _Trial, initialize_schemes
+from repro.sim.ensemble import (
+    EnsembleMember,
+    _death_times,
+    _init_trial,
+    _Trial,
+    initialize_schemes,
+)
 from repro.sim.frontier import DeathFrontier
 from repro.sim.lifetime import _DEGENERATE_REASON, _EXHAUSTED_REASON, build_result
 from repro.sim.result import SimulationResult, TimelineEvent
@@ -229,6 +235,8 @@ def _run_exact(
     endurance, backing, weights = trial.endurance, trial.backing, trial.weights
     current_death, active_weight = trial.current_death, trial.active_weight
     slots = backing.size
+    if current_death is None:
+        current_death = _death_times(slots, trial.prone, trial.prone_death)
     alive = np.ones(slots, dtype=bool)
     # The kernel's death-frontier index serves as the heap: (time, slot)
     # entries, lazy deletion, and compaction once it outgrows

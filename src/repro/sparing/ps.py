@@ -21,7 +21,7 @@ policy), ``"random"``, or ``"weakest-first"``.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.sparing.base import (
     ReplaceWith,
     SpareScheme,
 )
+from repro.util.sorting import stable_rank_prefix, stable_rank_suffix
 from repro.util.validation import require_fraction
 
 #: Valid pool-selection policies.
@@ -112,21 +113,22 @@ class PS(SpareScheme):
         total = self._emap.lines
         spares = self.spare_lines(total)
         endurance = self._emap.line_endurance
-        order = np.lexsort((np.arange(total), endurance))  # ascending endurance
+        # The weakest or strongest lines by ascending endurance, ties by
+        # line id: the ends of a stable argsort, without sorting the rest.
         if self._selection == "weakest":
-            pool = order[:spares]
+            pool = stable_rank_prefix(endurance, spares)
         elif self._selection == "strongest":
-            pool = order[total - spares :]
+            pool = stable_rank_suffix(endurance, spares)
         else:
             pool = self._rng.choice(total, size=spares, replace=False)
 
-        pool_set = set(int(line) for line in pool)
-        pool_array = np.sort(np.asarray(pool, dtype=np.intp))
-        backing = np.setdiff1d(
-            np.arange(total, dtype=np.intp), pool_array, assume_unique=True
-        )
-        self._pool_lines = np.asarray(
-            self._ordered_pool(list(pool_set)), dtype=np.intp
+        in_pool = np.zeros(total, dtype=bool)
+        in_pool[pool] = True
+        backing = np.flatnonzero(~in_pool)
+        # The pool's allocation order starts from a set's iteration order,
+        # which depends on insertion order: keep inserting in pool order.
+        self._pool_lines = self._ordered_pool(
+            np.asarray(list(set(pool.tolist())), dtype=np.intp)
         )
         if self._pool_lines.size:
             self._pool_floor = np.minimum.accumulate(
@@ -137,24 +139,23 @@ class PS(SpareScheme):
         self._pool_pos = 0
         return backing
 
-    def _ordered_pool(self, pool: List[int]) -> np.ndarray:
+    def _ordered_pool(self, pool: np.ndarray) -> np.ndarray:
         """Order the pool so allocation pops from the front.
 
         The sorted orders use a *stable* argsort over the incoming pool
         order, matching what a stable Python ``sorted`` would produce on
-        the same list; the random order shuffles the Python list itself
-        so the RNG stream is untouched.
+        the same list; the random order shuffles a copy of the array,
+        which draws exactly what shuffling the same Python list draws.
         """
         assert self._emap is not None and self._rng is not None
         endurance = self._emap.line_endurance
-        arr = np.asarray(pool, dtype=np.intp)
         if self._allocation == "strongest-first":
-            return arr[np.argsort(-endurance[arr], kind="stable")]
+            return pool[np.argsort(-endurance[pool], kind="stable")]
         if self._allocation == "weakest-first":
-            return arr[np.argsort(endurance[arr], kind="stable")]
-        shuffled = list(pool)
+            return pool[np.argsort(endurance[pool], kind="stable")]
+        shuffled = pool.copy()
         self._rng.shuffle(shuffled)
-        return np.asarray(shuffled, dtype=np.intp)
+        return shuffled
 
     def replace(self, slot: int, dead_line: int) -> Replacement:
         """Hand out the next pool line; fail when the pool is dry."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -69,20 +69,35 @@ class WearDistribution:
     useful_fraction:
         Served user writes per unit of total applied wear, in ``(0, 1]``.
         ``1.0`` means no remap overhead.
+    prone:
+        Optional ascending indices of the slots with positive weight,
+        for a distribution that wears only a few slots; every other
+        weight is zero.  Validation and the engine's init then read those
+        entries alone (the zeros are not re-checked: skipping that
+        full-length pass is the point).
     """
 
     weights: np.ndarray
     useful_fraction: float = 1.0
+    prone: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a non-empty 1-D array")
-        values = distinct_values(weights)
-        if np.any(values < 0):
-            raise ValueError("weights must be non-negative")
-        if values.sum() <= 0:
-            raise ValueError("weights must have positive sum")
+        if self.prone is None:
+            values = distinct_values(weights)
+            if np.any(values < 0):
+                raise ValueError("weights must be non-negative")
+            if values.sum() <= 0:
+                raise ValueError("weights must have positive sum")
+        else:
+            prone = np.asarray(self.prone, dtype=np.intp)
+            if prone.ndim != 1 or prone.size == 0:
+                raise ValueError("prone must be a non-empty 1-D index array")
+            if not (weights[prone] > 0).all():
+                raise ValueError("prone slots must have positive weights")
+            object.__setattr__(self, "prone", prone)
         object.__setattr__(self, "weights", weights)
         require_fraction(self.useful_fraction, "useful_fraction")
         if self.useful_fraction == 0:
@@ -123,7 +138,8 @@ class WearLeveler(ABC):
         endurance = np.asarray(slot_endurance, dtype=float)
         if endurance.ndim != 1 or endurance.size == 0:
             raise ValueError("slot_endurance must be a non-empty 1-D array")
-        if np.any(endurance <= 0):
+        # ``not min() > 0`` also rejects NaN, without a full boolean mask.
+        if not endurance.min() > 0:
             raise ValueError("slot endurances must be strictly positive")
         self._slot_endurance = endurance
         self._rng = derive_rng(rng, f"wl-{self.name}")

@@ -49,10 +49,17 @@ class NoWearLeveling(WearLeveler):
         if profile.kind == PROFILE_SKEWED:
             return WearDistribution(profile.logical_rates(count))
         if profile.kind == PROFILE_CONCENTRATED:
-            weights = np.full(count, (1.0 - profile.hot_fraction) / count)
             assert self._hot_slot is not None
-            weights[self._hot_slot] += profile.hot_fraction
-            return WearDistribution(weights)
+            background = (1.0 - profile.hot_fraction) / count
+            if background > 0.0:
+                weights = np.full(count, background)
+                weights[self._hot_slot] += profile.hot_fraction
+                return WearDistribution(weights)
+            # A pure attack wears the hot slot alone: say so, and the
+            # engine reads one weight instead of every slot's.
+            weights = np.zeros(count)
+            weights[self._hot_slot] = profile.hot_fraction
+            return WearDistribution(weights, prone=np.array([self._hot_slot]))
         raise ValueError(f"unknown profile kind {profile.kind!r}")  # pragma: no cover
 
     def translate(self, logical: int) -> int:
