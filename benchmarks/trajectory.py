@@ -99,19 +99,6 @@ def _engine_rows(payload: dict) -> Iterator[dict]:
                    payload["results_identical"], "bool")
 
 
-def _ensemble_rows(payload: dict) -> Iterator[dict]:
-    headline = payload.get("headline") or {}
-    if headline.get("speedup") is not None:
-        yield _row("ensemble", "stacked_vs_per_task", headline["speedup"], "x",
-                   f"cell {headline.get('cell')}")
-    if headline.get("ensemble_ms_per_replica") is not None:
-        yield _row("ensemble", "ms_per_replica",
-                   headline["ensemble_ms_per_replica"], "ms")
-    if payload.get("results_identical") is not None:
-        yield _row("ensemble", "results_identical",
-                   payload["results_identical"], "bool")
-
-
 def _events_rows(payload: dict) -> Iterator[dict]:
     record = payload.get("record") or {}
     if record.get("ns_per_call") is not None:
@@ -129,7 +116,6 @@ def _runner_rows(payload: dict) -> Iterator[dict]:
 
 _EXTRACTORS = {
     "engine": _engine_rows,
-    "ensemble": _ensemble_rows,
     "events": _events_rows,
     "runner": _runner_rows,
 }

@@ -91,9 +91,9 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         type=_engine_arg,
         choices=ENGINES,
         default="fluid-batched",
-        help="lifetime engine: the epoch kernel run by run (default), or "
-        "trial-stacked into chunks sized from the run count and --jobs "
-        "(bit-identical per run)",
+        help="lifetime engine: the epoch kernel, one run per task; "
+        "fluid-ensemble runs the same code and only labels its results "
+        "differently (kept for existing cache keys and checkpoints)",
     )
 
 

@@ -24,19 +24,19 @@ Alternative ``spare_selection`` and ``matching`` policies exist solely for
 the ablation benches (ABL-MATCH): they let the benchmarks quantify what
 each Max-WE ingredient contributes.
 
-**Ensemble stacking.**  The deterministic paper configuration
+**Lean kernel state.**  The deterministic paper configuration
 (``weak-priority`` + ``weak-strong``) is a pure function of the endurance
 map, which is what lets ``repro.core.maxwe.MaxWEStackedState`` rebuild
-this plan for ``T`` trials without instantiating ``T`` schemes: a
-partition-based ``stable_rank_prefix`` over each trial's region
-endurances reproduces the first ``2*swr + additional`` entries of
+this plan without instantiating a scheme: a partition-based
+``stable_rank_prefix`` over the map's region endurances reproduces the first ``2*swr + additional`` entries of
 ``rank_regions`` (both break ties by ascending region id), which is all
 the plan consumes, and
 because the ranking slices handed to the pairing step are already
 ascending, the stable re-sorts below are identity permutations -- so
 ``swr_paired == ranking[:k]`` and ``rwr_paired == ranking[k:2k][::-1]``
 hold exactly.  Any change to the banding or pairing logic here must be
-mirrored there (the ensemble differential tests pin the equivalence).
+mirrored there (``tests/core/test_maxwe_stacked.py`` pins the
+equivalence).
 """
 
 from __future__ import annotations

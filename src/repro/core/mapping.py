@@ -25,14 +25,14 @@ Both tables also report an ``exact_storage_bits`` that counts every field
 a naive SRAM layout would hold (both addresses per entry), for honest
 comparison against the paper's accounting.
 
-**Ensemble stacking.**  Neither table feeds back into replacement
+**Lean kernel state.**  Neither table feeds back into replacement
 *decisions*: :meth:`MaxWE.replace_batch` consults only its SRA lookup and
 per-slot state codes, with the RMT worn tags and LMT entries written as a
-ledger for address translation and the integrity checks.  The trial-
-stacked ``MaxWEStackedState`` therefore skips maintaining them entirely
-(the LMT capacity equals the pool size, so its overflow check can never
-fire before pool exhaustion truncates the batch) -- which is also why the
-ensemble engine refuses the stacked path when paranoia guards are on.
+ledger for address translation and the integrity checks.  The lean
+``MaxWEStackedState`` therefore skips maintaining them entirely (the LMT
+capacity equals the pool size, so its overflow check can never fire
+before pool exhaustion truncates the batch) -- which is also why the
+engine keeps a real scheme when paranoia guards are on.
 """
 
 from __future__ import annotations

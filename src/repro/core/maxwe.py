@@ -534,50 +534,27 @@ class MaxWE(SpareScheme):
         )
 
     # ------------------------------------------------------------------
-    # Ensemble stacking
+    # Kernel scheme state
     # ------------------------------------------------------------------
 
     @classmethod
     def make_batched_state(
-        cls,
-        schemes: Sequence[SpareScheme],
-        emaps: Sequence[EnduranceMap],
+        cls, scheme: SpareScheme, emap: EnduranceMap
     ) -> Optional[BatchedSchemeState]:
-        """Stack the trials' Max-WE bookkeeping into cross-trial tensors.
+        """Max-WE's ledger-free kernel state for ``scheme`` on ``emap``.
 
-        Only the paper's deterministic configuration is stacked:
+        Only the paper's deterministic configuration has one:
         ``weak-priority`` selection with ``weak-strong`` matching (no
-        allocation randomness), identical parameters across members, and
-        identical device geometry.  Anything else falls back to per-trial
-        instances, which stay bit-identical by construction.
+        allocation randomness).  Anything else runs on the real
+        instance, which is bit-identical by construction.
         """
-        if not schemes:
-            return None
-        first = schemes[0]
-        if type(first) is not MaxWE or not isinstance(first, MaxWE):
-            return None
-        if (
-            first._spare_selection != "weak-priority"
-            or first._matching != "weak-strong"
-            or first._region_metric not in ("min", "mean", "max")
+        if type(scheme) is not MaxWE or (
+            scheme._spare_selection != "weak-priority"
+            or scheme._matching != "weak-strong"
+            or scheme._region_metric not in ("min", "mean", "max")
         ):
             return None
-        for scheme in schemes:
-            if type(scheme) is not MaxWE:
-                return None
-            if (
-                scheme.spare_fraction != first.spare_fraction
-                or scheme._swr_fraction != first._swr_fraction
-                or scheme._spare_selection != first._spare_selection
-                or scheme._matching != first._matching
-                or scheme._rwr_fallback != first._rwr_fallback
-                or scheme._region_metric != first._region_metric
-            ):
-                return None
-        geometry = (emaps[0].regions, emaps[0].lines_per_region)
-        if any((e.regions, e.lines_per_region) != geometry for e in emaps):
-            return None
-        return MaxWEStackedState(schemes, emaps)
+        return MaxWEStackedState(scheme, emap)
 
 
 class _StackedPlan(NamedTuple):
@@ -632,7 +609,7 @@ def _stacked_plan(
     backing = (working[:, None] * per + offsets).reshape(-1)
     budgets = line_endurance[backing]
 
-    # Additional pool, strongest-first, consumed via a per-trial cursor;
+    # Additional pool, strongest-first, consumed via the state's cursor;
     # suffix minima are the batching safety bound.
     pool_lines = (additional[:, None] * per + offsets).ravel()
     pool_endurance = line_endurance[pool_lines]
@@ -658,17 +635,16 @@ def _stacked_plan(
 
 
 class MaxWEStackedState(BatchedSchemeState):
-    """Trial-stacked Max-WE state for the batched epoch kernel.
+    """Ledger-free Max-WE state for the batched epoch kernel.
 
-    Every trial's slot states, pool cursor and failover count live as
-    rows of ``(trials, ...)`` arrays over a read-only per-map plan
-    (:class:`_StackedPlan`: SRA lookup, allocation-ordered pool, initial
-    backing), built by one pass per map that skips every ledger the
-    kernel never reads (RMT/LMT, original-line provenance).  Inside a
-    :meth:`~repro.sim.runner.SimRunner.run` the plan of the run's
-    device is built once and shared (:mod:`repro.util.memo`).
-    Decisions are bit-identical to per-trial :class:`MaxWE` instances
-    because
+    One run's slot states, pool cursor and failover count live over a
+    read-only per-map plan (:class:`_StackedPlan`: SRA lookup,
+    allocation-ordered pool, initial backing), built by one pass that
+    skips every ledger the kernel never reads (RMT/LMT, original-line
+    provenance).  Inside a :meth:`~repro.sim.runner.SimRunner.run` the
+    plan of the run's device is built once and shared
+    (:mod:`repro.util.memo`).  Decisions are bit-identical to a
+    :class:`MaxWE` instance because
 
     * the weak-priority / weak-strong plan is a pure function of the
       endurance map -- :func:`~repro.util.sorting.stable_rank_prefix`
@@ -689,26 +665,23 @@ class MaxWEStackedState(BatchedSchemeState):
       :meth:`lookahead` / :meth:`commit_lookahead` walk the same chain
       :meth:`replace` would: the SWR hop, then the pool cursor.
 
-    Every ``fluid-batched`` and ``fluid-ensemble`` run of the paper
-    configuration starts from this state when paranoia guards are off:
-    the RMT/LMT tables that :meth:`MaxWE.check_integrity` audits are
-    deliberately not maintained here, so guarded runs and the scalar
-    oracle (:func:`~repro.sim.reference.exact_lifetime`) keep real
+    Every fluid run of the paper configuration starts from this state
+    when paranoia guards are off: the RMT/LMT tables that
+    :meth:`MaxWE.check_integrity` audits are deliberately not maintained
+    here, so guarded runs and the scalar oracle
+    (:func:`~repro.sim.reference.exact_lifetime`) keep real
     :class:`MaxWE` instances, the reference this state is tested
     against.
     """
 
-    def __init__(
-        self, schemes: Sequence[MaxWE], emaps: Sequence[EnduranceMap]
-    ) -> None:
-        first = schemes[0]
-        regions = emaps[0].regions
-        self._per = emaps[0].lines_per_region
-        self._rwr_fallback = first._rwr_fallback
-        self._description = first.describe()
+    def __init__(self, scheme: MaxWE, emap: EnduranceMap) -> None:
+        regions = emap.regions
+        self._per = emap.lines_per_region
+        self._rwr_fallback = scheme._rwr_fallback
+        self._description = scheme.describe()
 
-        spare_count = int(round(first.spare_fraction * regions))
-        swr_count = int(round(first.swr_fraction * spare_count))
+        spare_count = int(round(scheme.spare_fraction * regions))
+        swr_count = int(round(scheme.swr_fraction * spare_count))
         additional_count = spare_count - swr_count
         if 2 * swr_count + additional_count > regions:
             raise ConfigurationError(
@@ -716,67 +689,50 @@ class MaxWEStackedState(BatchedSchemeState):
                 f"additional regions, exceeding the {regions} available"
             )
 
-        self._emaps = list(emaps)
-        self._shape = (swr_count, additional_count, first._region_metric)
-        self._plan_trial = -1
-        self._current_plan: Optional[_StackedPlan] = None
-        trials = len(schemes)
+        self._emap = emap
+        self._shape = (swr_count, additional_count, scheme._region_metric)
         working_count = regions - swr_count - additional_count
-        self._pool_pos = np.zeros(trials, dtype=np.intp)
-        self._state = np.zeros((trials, working_count * self._per), dtype=np.int8)
-        self._rwr_originals_left = np.full(
-            trials, swr_count * self._per, dtype=np.intp
+        self._pool_pos = 0
+        self._state = np.zeros(working_count * self._per, dtype=np.int8)
+        self._rwr_originals_left = swr_count * self._per
+
+    @functools.cached_property
+    def _plan(self) -> _StackedPlan:
+        """The map's plan, built (or taken from the run's memo) on first use."""
+        return memoized(
+            "maxwe-plan",
+            self._shape,
+            functools.partial(_stacked_plan, self._emap, *self._shape),
+            owner=self._emap,
         )
-
-    def _plan(self, trial: int) -> _StackedPlan:
-        """Trial ``trial``'s plan, built (or taken from the run's memo) on
-        first use.  The kernel advances one trial at a time, so only the
-        current trial's plan is held: an ensemble never keeps every
-        trial's backing and budgets alive at once."""
-        if trial != self._plan_trial:
-            self._current_plan = None  # let the memo free the last one first
-            emap = self._emaps[trial]
-            self._current_plan = memoized(
-                "maxwe-plan",
-                self._shape,
-                functools.partial(_stacked_plan, emap, *self._shape),
-                owner=emap,
-            )
-            self._plan_trial = trial
-        assert self._current_plan is not None
-        return self._current_plan
-
-    @property
-    def trials(self) -> int:
-        return int(self._state.shape[0])
 
     @property
     def never_removes(self) -> bool:
         return True
 
-    def backing(self, trial: int) -> np.ndarray:
-        return self._plan(trial).backing
+    def backing(self) -> np.ndarray:
+        return self._plan.backing
 
     def initial_arrays(
-        self, trial: int, endurance: np.ndarray
+        self, endurance: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, float]:
-        if endurance is not self._emaps[trial].line_endurance:
-            return super().initial_arrays(trial, endurance)
-        plan = self._plan(trial)
+        if endurance is not self._emap.line_endurance:
+            return super().initial_arrays(endurance)
+        plan = self._plan
         return plan.backing, plan.budgets, plan.total_endurance
 
-    def min_user_slots(self, trial: int) -> int:
+    def min_user_slots(self) -> int:
         # Max-WE never retires slots; every working line stays addressable.
-        return int(self._state.shape[1])
+        return int(self._state.size)
 
     def replace_batch(
-        self, trial: int, slots: np.ndarray, dead_lines: np.ndarray
+        self, slots: np.ndarray, dead_lines: np.ndarray
     ) -> RawBatchOutcome:
         per = self._per
-        state_row = self._state[trial]
+        state_row = self._state
         states = state_row[slots]
         regions, offsets = np.divmod(dead_lines, per)
-        plan = self._plan(trial)
+        plan = self._plan
         sra = plan.sra_lookup[regions]
         swr_mask = (states == _ORIGINAL) & (sra >= 0)
 
@@ -796,7 +752,7 @@ class MaxWEStackedState(BatchedSchemeState):
             if fail_reason is not None:
                 rescue_mask[count - 1] = False
             rescue_positions = np.flatnonzero(rescue_mask)
-        available = int(plan.pool_lines.size - self._pool_pos[trial])
+        available = int(plan.pool_lines.size - self._pool_pos)
         if rescue_positions.size > available:
             count = int(rescue_positions[available]) + 1
             fail_reason = _POOL_EXHAUSTED
@@ -813,112 +769,105 @@ class MaxWEStackedState(BatchedSchemeState):
         if swr_positions.size:
             lines[swr_positions] = sra[swr_positions] * per + offsets[swr_positions]
             state_row[slots[swr_positions]] = _SWR_REPLACED
-            self._rwr_originals_left[trial] -= swr_positions.size
+            self._rwr_originals_left -= int(swr_positions.size)
 
         if rescue_positions.size:
-            pos = int(self._pool_pos[trial])
+            pos = self._pool_pos
             taken = plan.pool_lines[pos : pos + rescue_positions.size]
-            self._pool_pos[trial] = pos + rescue_positions.size
+            self._pool_pos = pos + int(rescue_positions.size)
             lines[rescue_positions] = taken
             state_row[slots[rescue_positions]] = _LMT_REPLACED
 
         if fail_reason is not None:
-            # Mirror the solo scheme: the unservable slot is retired so
-            # state codes agree between stacked and per-trial execution.
+            # Mirror the real scheme: the unservable slot is retired so
+            # state codes agree with a MaxWE instance's.
             state_row[slots[count - 1]] = _RETIRED
 
         return actions, lines, _NO_WEAR, fail_reason
 
-    def replace(self, trial: int, slot: int, dead_line: int) -> Replacement:
+    def replace(self, slot: int, dead_line: int) -> Replacement:
         # Line-for-line port of MaxWE.replace minus the RMT/LMT ledgers.
-        state_row = self._state[trial]
-        state = int(state_row[slot])
+        state = int(self._state[slot])
         if state == _ORIGINAL:
-            hop = self._swr_hop(trial, dead_line)
+            hop = self._swr_hop(dead_line)
             if hop >= 0:
-                state_row[slot] = _SWR_REPLACED
-                self._rwr_originals_left[trial] -= 1
+                self._state[slot] = _SWR_REPLACED
+                self._rwr_originals_left -= 1
                 return ReplaceWith(line=hop)
-            return self._rescue_from_pool(trial, slot)
+            return self._rescue_from_pool(slot)
         if state == _LMT_REPLACED or self._rwr_fallback:
-            return self._rescue_from_pool(trial, slot)
+            return self._rescue_from_pool(slot)
         return FailDevice(reason=_swr_worn_reason(dead_line))
 
-    def lookahead(
-        self, trial: int, slot: int, dead_line: int, limit: int
-    ) -> Lookahead:
+    def lookahead(self, slot: int, dead_line: int, limit: int) -> Lookahead:
         # The chain replace() would walk: an unreplaced RWR line's first
         # death takes its matched SWR line, every later death the next
         # pool line (strongest first) -- or, in strict mode, fails.
-        state = int(self._state[trial, slot])
+        state = int(self._state[slot])
         head = _NO_LINES
         if state == _ORIGINAL:
-            hop = self._swr_hop(trial, dead_line)
+            hop = self._swr_hop(dead_line)
             if hop >= 0:
                 head = np.array([hop], dtype=np.intp)
                 state, dead_line, limit = _SWR_REPLACED, hop, limit - 1
         if state != _ORIGINAL and state != _LMT_REPLACED and not self._rwr_fallback:
             return head, _swr_worn_reason(dead_line)
-        pos = int(self._pool_pos[trial])
-        lines = self._plan(trial).pool_lines[pos : pos + limit]
+        pos = self._pool_pos
+        lines = self._plan.pool_lines[pos : pos + limit]
         fail = _POOL_EXHAUSTED if lines.size < limit else None
         if head.size:
             lines = np.concatenate((head, lines))
         return lines, fail
 
-    def commit_lookahead(
-        self, trial: int, slot: int, dead_line: int, deaths: int
-    ) -> None:
+    def commit_lookahead(self, slot: int, dead_line: int, deaths: int) -> None:
         # The state ``deaths`` successive replace() calls leave behind.
-        state_row = self._state[trial]
-        state = int(state_row[slot])
-        if state == _ORIGINAL and self._swr_hop(trial, dead_line) >= 0:
-            state = state_row[slot] = _SWR_REPLACED
-            self._rwr_originals_left[trial] -= 1
+        state = int(self._state[slot])
+        if state == _ORIGINAL and self._swr_hop(dead_line) >= 0:
+            state = self._state[slot] = _SWR_REPLACED
+            self._rwr_originals_left -= 1
             deaths -= 1
         if not deaths or (
             state != _ORIGINAL and state != _LMT_REPLACED and not self._rwr_fallback
         ):
             return  # a strict-mode failure changes no state
-        pos = int(self._pool_pos[trial])
-        rescued = min(deaths, self._plan(trial).pool_lines.size - pos)
-        self._pool_pos[trial] = pos + rescued
-        state_row[slot] = _LMT_REPLACED if rescued == deaths else _RETIRED
+        pos = self._pool_pos
+        rescued = min(deaths, self._plan.pool_lines.size - pos)
+        self._pool_pos = pos + rescued
+        self._state[slot] = _LMT_REPLACED if rescued == deaths else _RETIRED
 
-    def _swr_hop(self, trial: int, dead_line: int) -> int:
+    def _swr_hop(self, dead_line: int) -> int:
         """The matched SWR line of RWR line ``dead_line``, else -1."""
         region, offset = divmod(dead_line, self._per)
-        spare_region = int(self._plan(trial).sra_lookup[region])
+        spare_region = int(self._plan.sra_lookup[region])
         return spare_region * self._per + offset if spare_region >= 0 else -1
 
-    def _rescue_from_pool(self, trial: int, slot: int) -> Replacement:
-        pool_lines = self._plan(trial).pool_lines
-        pos = int(self._pool_pos[trial])
+    def _rescue_from_pool(self, slot: int) -> Replacement:
+        pool_lines = self._plan.pool_lines
+        pos = self._pool_pos
         if pos >= pool_lines.size:
-            self._state[trial, slot] = _RETIRED
+            self._state[slot] = _RETIRED
             return FailDevice(reason=_POOL_EXHAUSTED)
-        self._pool_pos[trial] = pos + 1
-        self._state[trial, slot] = _LMT_REPLACED
+        self._pool_pos = pos + 1
+        self._state[slot] = _LMT_REPLACED
         return ReplaceWith(line=int(pool_lines[pos]))
 
-    def replacement_extra_floor(self, trial: int) -> float:
-        plan = self._plan(trial)
+    def replacement_extra_floor(self) -> float:
+        plan = self._plan
         floor = math.inf
-        pos = int(self._pool_pos[trial])
-        if pos < plan.pool_lines.size:
-            floor = float(plan.pool_floor[pos])
-        if self._rwr_originals_left[trial] > 0:
+        if self._pool_pos < plan.pool_lines.size:
+            floor = float(plan.pool_floor[self._pool_pos])
+        if self._rwr_originals_left > 0:
             floor = min(floor, plan.swr_line_floor)
         return floor
 
-    def replacement_capacity(self, trial: int) -> int:
+    def replacement_capacity(self) -> int:
         # Each SWR failover consumes one paired spare line and each pool
         # rescue one pool line, so their sum bounds future replacements.
-        return int(self._rwr_originals_left[trial]) + int(
-            self._plan(trial).pool_lines.size - self._pool_pos[trial]
+        return self._rwr_originals_left + int(
+            self._plan.pool_lines.size - self._pool_pos
         )
 
-    def describe(self, trial: int) -> str:
+    def describe(self) -> str:
         return self._description
 
 

@@ -77,8 +77,7 @@ class PowerLawEnduranceModel:
     def current_for_endurance(self, endurance: "float | np.ndarray") -> "float | np.ndarray":
         """Invert Eq. 1: the programming current that yields ``endurance``.
 
-        Used by tests to verify the model is a bijection and by calibration
-        utilities that target a given endurance spread.
+        Used by tests to verify the model is a bijection.
         """
         target = np.asarray(endurance, dtype=float)
         if np.any(target <= 0):

@@ -41,7 +41,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.fabric.wire import Channel, ChannelClosed, one_shot_request
 from repro.sim.faults import active_injector, mark_worker_process
@@ -126,26 +126,6 @@ class _Heartbeat(threading.Thread):
 
     def stop(self) -> None:
         self._stop.set()
-
-
-def _shard_records(
-    task: object, key: str, result: object, elapsed: float
-) -> Iterator[Tuple[str, object, float, str]]:
-    """Yield ``(key, result, elapsed, label)`` ledger rows for one report.
-
-    An ensemble chunk fans out to one row per member -- the same records
-    the supervisor's ``on_complete`` writes to the primary journal, so
-    merge-on-harvest is a no-op when the commit also got through.
-    """
-    from repro.sim.runner import _EnsembleChunk, task_identity
-
-    if isinstance(task, _EnsembleChunk):
-        share = elapsed / len(task.members)
-        for member, member_result in zip(task.members, result):
-            member_key, member_label = task_identity(member)
-            yield member_key, member_result, share, member_label
-        return
-    yield key, result, elapsed, getattr(task, "label", "")
 
 
 def worker_main(
@@ -248,10 +228,12 @@ def worker_main(
                 else:
                     if shard is not None:
                         try:
-                            for row in _shard_records(
-                                task, key, report.result, report.elapsed
-                            ):
-                                shard.append(*row)
+                            shard.append(
+                                key,
+                                report.result,
+                                report.elapsed,
+                                getattr(task, "label", ""),
+                            )
                         except CheckpointWriteError:
                             # The shard is durability, not delivery: a
                             # full disk must not kill the attempt.

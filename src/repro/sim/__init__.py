@@ -8,9 +8,10 @@ divided by the summed endurance of all memory lines.
 Two simulators are provided:
 
 * :class:`~repro.sim.lifetime.LifetimeSimulator` -- the fluid
-  (mean-field) engine: the vectorized epoch kernel, run solo
-  (``fluid-batched``, the default) or trial-stacked by the runner
-  (``fluid-ensemble``; see :data:`~repro.sim.lifetime.ENGINES`).
+  (mean-field) engine: the vectorized epoch kernel, one device per
+  run (``fluid-batched``, the default; ``fluid-ensemble`` runs the same
+  code under its own result label, see
+  :data:`~repro.sim.lifetime.ENGINES`).
   Wear-leveling schemes contribute their stationary wear distribution,
   sparing schemes handle deaths through the batched replacement API,
   and lifetimes are computed exactly under the stationary

@@ -1,61 +1,43 @@
-"""The trial-stacked ``fluid-ensemble`` lifetime engine.
+"""The batched epoch kernel and the one place a fluid run is initialized.
 
-``simulate_lifetime`` runs one device; a Monte-Carlo study runs hundreds
-of statistically independent replicas whose per-run cost is dominated by
-dispatch and initialization, not kernel math (see BENCH_engine.json).
-This engine amortizes that overhead by advancing ``T`` trials through
-one engine invocation:
+Every fluid run -- ``fluid-batched`` and ``fluid-ensemble`` alike -- is
+one :func:`simulate_ensemble` call on one :class:`EnsembleMember`: the
+function builds the run's scheme state (:func:`initialize_schemes`) and
+kernel arrays (:func:`_init_trial`) and advances them to device failure
+with the one epoch kernel, :func:`_advance_trial`.  Both engine names
+run exactly this code (see :data:`~repro.sim.lifetime.ENGINES`).  A
+Monte-Carlo study is many such runs, one supervised task each (see
+:class:`~repro.sim.runner.SimRunner`).
 
-* **Stacked scheme state** -- per-trial sparing bookkeeping lives in
-  ``(trials, ...)`` tensors behind the
-  :class:`~repro.sparing.base.BatchedSchemeState` protocol.  Eligible
-  schemes (Max-WE in the paper configuration) build all ``T`` allocation
-  plans with one batch of cross-trial array operations; everything else
-  falls back to real per-trial instances
-  (:class:`~repro.sparing.base.FallbackSchemeState`), which is always
-  correct, just without the stacked-init speedup.
-* **Shared spectral quantities** -- the wear-weight total and ``w_max``
-  are computed once per distinct weight vector and reused across trials
-  (identical inputs give identical floats, so sharing is bit-safe).  The
-  total is the exact (correctly rounded) sum, the same bits as
-  ``math.fsum``, from :func:`~repro.util.exactsum.exact_sum`'s cheapest
-  applicable tier: a constant vector (every UAA run), two values (a
-  concentrated profile under background traffic), or exponent-bucketed
-  integer mantissas (endurance-aware wear-levelers' distinct weights).
-  A distribution that lists its prone slots (BPA without a wear-leveler
-  wears one) is read at those slots alone.
+* **Scheme state** -- the run's sparing bookkeeping lives behind the
+  :class:`~repro.sparing.base.BatchedSchemeState` protocol.  Max-WE in
+  the paper configuration gets a ledger-free state over a plan shared
+  per map; everything else runs on its real initialized instance
+  (:class:`~repro.sparing.base.FallbackSchemeState`).
+* **Exact spectral quantities** -- the wear-weight total is the exact
+  (correctly rounded) sum, the same bits as ``math.fsum``, from
+  :func:`~repro.util.exactsum.exact_sum`'s cheapest applicable tier: a
+  constant vector (every UAA run), two values (a concentrated profile
+  under background traffic), or exponent-bucketed integer mantissas
+  (endurance-aware wear-levelers' distinct weights).  A distribution
+  that lists its prone slots (BPA without a wear-leveler wears one) is
+  read at those slots alone.
 
-The module also owns the one place a fluid run is initialized,
-:func:`simulate_ensemble`, and the one epoch kernel,
-:func:`_advance_trial`.  A solo run is a one-member ensemble:
-:class:`~repro.sim.lifetime.LifetimeSimulator` hands every run here as
-a one-member call that names its engine, so a solo
-``fluid-batched`` run and an ensemble trial of the same seed start from
-the same scheme state and execute the same loop on the same values.
-Results therefore split back into per-trial
-:class:`~repro.sim.result.SimulationResult` objects bit-identical to
-solo ``fluid-batched`` runs -- timeline and regime counters included,
-only ``metadata["engine"]`` differs -- independent of how members are
-grouped, which the differential tests pin.  The kernel picks its
-epoch-selection strategy from what it observes of the trial (see
-:func:`_advance_trial` and ``docs/fluid_engine.md``, "Kernel regimes").
-The oracle, :func:`~repro.sim.reference.exact_lifetime`, builds the same
-per-trial arrays (:func:`_init_trial`) for its scalar event loop.
-
-Trials that die early simply stop: advancement is per-trial over the
-stacked state, so a trial failing in epoch 0 contributes no further
-work.  Paranoia guards are supported through the fallback scheme state
-(one :class:`~repro.verify.invariants.EngineGuard` per trial, views
-tagged with the trial index).  The sampled shadow audit is one step per
-member: after a member finishes, it may be re-executed on the oracle
-and compared.
+The kernel picks its epoch-selection strategy from what it observes of
+the run (see :func:`_advance_trial` and ``docs/fluid_engine.md``,
+"Kernel regimes").  The oracle,
+:func:`~repro.sim.reference.exact_lifetime`, builds the same arrays
+(:func:`_init_trial`) for its scalar event loop.  Paranoia guards run
+on the fallback scheme state (one
+:class:`~repro.verify.invariants.EngineGuard` per run).  The sampled
+shadow audit re-executes a finished run on the oracle and compares.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -86,20 +68,16 @@ from repro.verify.snapshot import write_violation_bundle
 from repro.wearlevel.base import WearLeveler, distinct_values
 from repro.wearlevel.none import NoWearLeveling
 
-#: The engine name this module implements.
-ENGINE_NAME = "fluid-ensemble"
-
 #: Shared empty index array: no removals, or no death left to select.
 _EMPTY_POSITIONS = np.empty(0, dtype=np.intp)
 
 
 @dataclasses.dataclass
 class EnsembleMember:
-    """One trial of an ensemble: a full device/attack/defence combination.
+    """One run's components: a full device/attack/defence combination.
 
-    Components must be fresh per member (schemes and wear-levelers are
-    stateful); ``rng`` is the member's master seed, forked exactly as the
-    solo engine forks it.
+    Components must be fresh per run (schemes and wear-levelers are
+    stateful); ``rng`` is the run's master seed.
     """
 
     emap: EnduranceMap
@@ -418,29 +396,25 @@ class _SortedRow:
 
 
 def initialize_schemes(
-    members: Sequence[EnsembleMember], *, stacked: bool
+    member: EnsembleMember, *, stacked: bool
 ) -> BatchedSchemeState:
     """The one place a run's sparing scheme is initialized.
 
-    Every member forks its ``"sparing"`` stream first -- a Generator
+    The member forks its ``"sparing"`` stream first -- a Generator
     seed's later forks depend on it, so the fork happens even when the
-    stacked state never draws from it.  With ``stacked`` the scheme
-    family may build a :class:`BatchedSchemeState` over all members;
-    otherwise, or when it declines, each member's real scheme is
-    initialized and wrapped in a :class:`FallbackSchemeState`.
+    lean state never draws from it.  With ``stacked`` the scheme family
+    may build its lean :class:`BatchedSchemeState`; otherwise, or when
+    it declines, the real scheme is initialized and wrapped in a
+    :class:`FallbackSchemeState`.
     """
-    rngs = [derive_rng(member.rng, "sparing") for member in members]
-    schemes = [member.sparing for member in members]
-    state: Optional[BatchedSchemeState] = None
+    rng = derive_rng(member.rng, "sparing")
+    scheme = member.sparing
     if stacked:
-        state = type(schemes[0]).make_batched_state(
-            schemes, [member.emap for member in members]
-        )
-    if state is None:
-        for member, rng in zip(members, rngs):
-            member.sparing.initialize(member.emap, rng)
-        state = FallbackSchemeState(schemes)
-    return state
+        state = type(scheme).make_batched_state(scheme, member.emap)
+        if state is not None:
+            return state
+    scheme.initialize(member.emap, rng)
+    return FallbackSchemeState(scheme)
 
 
 def _death_times(
@@ -453,7 +427,7 @@ def _death_times(
 
 
 class _Trial(NamedTuple):
-    """One member's kernel inputs and result descriptions."""
+    """One run's kernel inputs and result descriptions."""
 
     endurance: np.ndarray
     total_endurance: float
@@ -470,35 +444,28 @@ class _Trial(NamedTuple):
     describe: dict
 
 
-def _init_trial(
-    state: BatchedSchemeState,
-    index: int,
-    member: EnsembleMember,
-    weight_cache: List[Tuple[Tuple[int, ...], np.ndarray, float, float]],
-) -> _Trial:
-    """Build member ``index``'s arrays from its scheme state and components.
+def _init_trial(state: BatchedSchemeState, member: EnsembleMember) -> _Trial:
+    """Build the run's kernel arrays from its scheme state and components.
 
-    Distinct weight vectors are rare (one per attack/wear-level config),
-    so the exact weight total (correctly rounded, the same bits as
+    The weight total is exact (correctly rounded, the same bits as
     ``math.fsum``, from the constant, two-valued or bucketed tier of
-    :func:`~repro.util.exactsum.exact_sum`) and ``w_max`` are shared
-    through ``weight_cache`` across members with equal weights.  A
-    constant weight vector (a uniform profile without a wear-leveler, a
-    read-only broadcast view) sets ``w_scalar``, so the kernel divides by
-    the scalar instead of gathering weights.  A distribution that lists
-    its prone slots (BPA without a wear-leveler wears one slot) is read
-    at those slots alone, past the cache.  Whenever some slot never
-    wears, ``prone`` holds the ascending prone slots and ``prone_death``
-    their death times, and ``current_death`` is ``None``.  The backing
-    and budgets may be the scheme state's shared read-only arrays (see
+    :func:`~repro.util.exactsum.exact_sum`).  A constant weight vector
+    (a uniform profile without a wear-leveler, a read-only broadcast
+    view) sets ``w_scalar``, so the kernel divides by the scalar instead
+    of gathering weights.  A distribution that lists its prone slots
+    (BPA without a wear-leveler wears one slot) is read at those slots
+    alone.  Whenever some slot never wears, ``prone`` holds the
+    ascending prone slots and ``prone_death`` their death times, and
+    ``current_death`` is ``None``.  The backing and budgets may be the
+    scheme state's shared read-only arrays (see
     :meth:`~repro.sparing.base.BatchedSchemeState.initial_arrays`); the
     death times are always fresh arrays.
     """
     fault_model = member.fault_model if member.fault_model is not None else FaultModel()
     endurance = fault_model.effective_endurance(member.emap.line_endurance)
-    backing, budgets, total_endurance = state.initial_arrays(index, endurance)
+    backing, budgets, total_endurance = state.initial_arrays(endurance)
     slots = backing.size
-    min_user_slots = min(state.min_user_slots(index), slots)
+    min_user_slots = min(state.min_user_slots(), slots)
     if budgets.dtype != np.float64:
         budgets = budgets.astype(float)
 
@@ -528,23 +495,12 @@ def _init_trial(
         # ``(weights > 0).all()``; weights are finite by contract.
         values = distinct_values(weights)
         w_min = float(values.min()) if slots else 0.0
-        active_weight = None
-        w_max = 0.0
-        for shape, cached, cached_sum, cached_max in weight_cache:
-            # Comparing a constant view by its one value may miss an equal
-            # dense vector; a miss only recomputes the same exact sum.
-            if shape == weights.shape and np.array_equal(cached, values):
-                active_weight, w_max = cached_sum, cached_max
-                break
-        if active_weight is None:
-            # The initial active weight is the one sum every served-writes
-            # increment multiplies, so it is exact: correctly rounded, the
-            # same bits as ``math.fsum`` (a uniform 20-slot profile must
-            # sum to 1.0).  The extremes pick the cheapest exact tier.
-            w_max = float(values.max()) if slots else 0.0
-            active_weight = exact_sum(weights, w_min, w_max)
-            if len(weight_cache) < 8:
-                weight_cache.append((weights.shape, values, active_weight, w_max))
+        w_max = float(values.max()) if slots else 0.0
+        # The initial active weight is the one sum every served-writes
+        # increment multiplies, so it is exact: correctly rounded, the
+        # same bits as ``math.fsum`` (a uniform 20-slot profile must sum
+        # to 1.0).  The extremes pick the cheapest exact tier.
+        active_weight = exact_sum(weights, w_min, w_max)
     all_prone = slots > 0 and w_min > 0.0
 
     # With every slot wear-prone the masked assignment collapses to one
@@ -581,7 +537,7 @@ def _init_trial(
         prone_death=prone_death,
         describe={
             "attack": member.attack.describe(),
-            "sparing": state.describe(index),
+            "sparing": state.describe(),
             "wearleveler": wl.describe(),
             "fault_model": fault_model.describe(),
         },
@@ -618,52 +574,41 @@ def _shadow_audit(
 
 
 def simulate_ensemble(
-    members: Sequence[EnsembleMember],
+    member: EnsembleMember,
     *,
-    engine: str = ENGINE_NAME,
+    engine: str = "fluid-batched",
     record_timeline: bool = False,
     max_timeline_events: int = 100_000,
     metrics: Optional[MetricsRegistry] = None,
     paranoia: str = "off",
     shadow_sample: float = 0.0,
-) -> List[SimulationResult]:
-    """Advance every member to device failure; one result per member.
+) -> SimulationResult:
+    """Advance ``member`` to device failure on the epoch kernel.
 
-    The one place an engine run is initialized: a solo
-    :class:`~repro.sim.lifetime.LifetimeSimulator` run is a one-member
-    call, ``engine`` names the engine its results report.  Every member
-    runs the epoch kernel, on the stacked scheme state when one applies
-    and no paranoia guard needs real schemes.  Results are index-aligned
-    with ``members`` and bit-identical to one-member calls of the same
-    members (``metadata["engine"]`` aside), independent of how members
-    are grouped.
+    The one place a fluid run is initialized and run:
+    :class:`~repro.sim.lifetime.LifetimeSimulator` and the runner's
+    tasks all call it; ``engine`` only names the engine the result
+    reports.  The run uses the scheme's lean state when it has one and
+    no paranoia guard needs the real scheme.
 
-    Each member is re-executed on
-    :func:`~repro.sim.reference.exact_lifetime` with probability
-    ``shadow_sample`` (deterministic in its integrity key) and escalates
-    a divergence as a :class:`~repro.verify.shadow.ShadowDivergence`.
+    With probability ``shadow_sample`` (deterministic in the run's
+    integrity key) the run is re-executed on
+    :func:`~repro.sim.reference.exact_lifetime`, and a divergence
+    escalates as a :class:`~repro.verify.shadow.ShadowDivergence`.
     """
     from repro.sim.lifetime import accounting_tolerance, build_result, normalize_engine
 
-    if not members:
-        raise ValueError("an ensemble needs at least one member")
     engine = normalize_engine(engine)
     paranoia = normalize_paranoia(paranoia)
     shadow_sample = float(shadow_sample)
     if not 0.0 <= shadow_sample <= 1.0:
         raise ValueError(f"shadow_sample must be in [0, 1], got {shadow_sample!r}")
-    if shadow_sample > 0.0:
-        for member in members:
-            if not isinstance(member.rng, (int, np.integer)):
-                raise ValueError(
-                    "shadow audits require integer rng seeds: the audit "
-                    "re-executes each member from scratch, which a stateful "
-                    "Generator (or None) cannot reproduce deterministically"
-                )
-
-    with maybe_span(metrics, "sim/init"):
-        # Stacked scheme state skips the RMT/LMT ledgers the guards audit.
-        state = initialize_schemes(members, stacked=paranoia == "off")
+    if shadow_sample > 0.0 and not isinstance(member.rng, (int, np.integer)):
+        raise ValueError(
+            "shadow audits require integer rng seeds: the audit "
+            "re-executes the run from scratch, which a stateful "
+            "Generator (or None) cannot reproduce deterministically"
+        )
 
     injector = active_injector()
     corruptor: Optional[FaultInjector] = (
@@ -671,103 +616,88 @@ def simulate_ensemble(
         if injector is not None and injector.spec.corrupt_state > 0.0
         else None
     )
-    task_key = active_task_key()
-    weight_cache: List[Tuple[Tuple[int, ...], np.ndarray, float, float]] = []
-
-    results: List[SimulationResult] = []
-    for index, member in enumerate(members):
-        try:
-            with maybe_span(metrics, "sim/init"):
-                trial = _init_trial(state, index, member, weight_cache)
-                # Corruption rolls and shadow sampling are keyed by the
-                # supervising runner's task key (per trial in an
-                # ensemble); standalone runs use the run's own identity.
-                describe = trial.describe
-                if task_key:
-                    integrity_key = (
-                        f"{task_key}#trial={index}" if engine == ENGINE_NAME else task_key
-                    )
-                else:
-                    integrity_key = "|".join(
-                        (
-                            describe["attack"],
-                            describe["sparing"],
-                            describe["wearleveler"],
-                            repr(member.rng),
-                            engine,
-                        )
-                    )
-                repro = {
-                    "seed": repr(member.rng),
-                    "engine": engine,
-                    "attack": describe["attack"],
-                    "sparing": describe["sparing"],
-                    "wearleveler": describe["wearleveler"],
-                    "paranoia": paranoia,
-                    "shadow_sample": shadow_sample,
-                }
-                if engine == ENGINE_NAME:
-                    repro["trial"] = index
-                guard: Optional[EngineGuard] = None
-                if paranoia != "off":
-                    guard = EngineGuard(
-                        paranoia,
-                        sparing=state.scheme(index),
-                        endurance=trial.endurance,
-                        weights=trial.weights,
-                        eta=trial.eta,
-                        total_endurance=trial.total_endurance,
-                        tolerance=accounting_tolerance,
-                        metrics=metrics,
-                        repro=repro,
-                    )
-                    guard.start(trial.backing)
-
-            with maybe_span(metrics, "sim/kernel"):
-                outcome = _advance_trial(
-                    state,
-                    index,
+    try:
+        with maybe_span(metrics, "sim/init"):
+            # The lean scheme state skips the RMT/LMT ledgers the guards audit.
+            state = initialize_schemes(member, stacked=paranoia == "off")
+            trial = _init_trial(state, member)
+            # Corruption rolls and shadow sampling are keyed by the
+            # supervising runner's task key; standalone runs use the
+            # run's own identity.
+            describe = trial.describe
+            integrity_key = active_task_key() or "|".join(
+                (
+                    describe["attack"],
+                    describe["sparing"],
+                    describe["wearleveler"],
+                    repr(member.rng),
+                    engine,
+                )
+            )
+            repro = {
+                "seed": repr(member.rng),
+                "engine": engine,
+                "attack": describe["attack"],
+                "sparing": describe["sparing"],
+                "wearleveler": describe["wearleveler"],
+                "paranoia": paranoia,
+                "shadow_sample": shadow_sample,
+            }
+            guard: Optional[EngineGuard] = None
+            if paranoia != "off":
+                guard = EngineGuard(
+                    paranoia,
+                    sparing=state.scheme(),
                     endurance=trial.endurance,
-                    backing=trial.backing,
                     weights=trial.weights,
                     eta=trial.eta,
-                    current_death=trial.current_death,
-                    min_user_slots=trial.min_user_slots,
-                    active_weight=trial.active_weight,
-                    w_max=trial.w_max,
-                    guard=guard,
-                    corruptor=corruptor,
-                    integrity_key=integrity_key if corruptor is not None else "",
                     total_endurance=trial.total_endurance,
-                    record_timeline=record_timeline,
-                    max_timeline_events=max_timeline_events,
-                    w_scalar=trial.w_scalar,
-                    prone=trial.prone,
-                    prone_death=trial.prone_death,
+                    tolerance=accounting_tolerance,
                     metrics=metrics,
+                    repro=repro,
                 )
-            result = build_result(
-                outcome,
+                guard.start(trial.backing)
+
+        with maybe_span(metrics, "sim/kernel"):
+            outcome = _advance_trial(
+                state,
+                endurance=trial.endurance,
+                backing=trial.backing,
+                weights=trial.weights,
+                eta=trial.eta,
+                current_death=trial.current_death,
+                min_user_slots=trial.min_user_slots,
+                active_weight=trial.active_weight,
+                w_max=trial.w_max,
+                guard=guard,
+                corruptor=corruptor,
+                integrity_key=integrity_key if corruptor is not None else "",
                 total_endurance=trial.total_endurance,
-                slots=trial.backing.size,
-                engine=engine,
+                record_timeline=record_timeline,
+                max_timeline_events=max_timeline_events,
+                w_scalar=trial.w_scalar,
+                prone=trial.prone,
+                prone_death=trial.prone_death,
                 metrics=metrics,
-                **describe,
             )
-            if shadow_sample > 0.0 and should_audit(shadow_sample, integrity_key):
-                _shadow_audit(member, result, repro, metrics)
-        except InvariantViolation as violation:
-            write_violation_bundle(violation)
-            raise
-        results.append(result)
-    if metrics is not None:
-        metrics.inc("sim.ensembles")
-    return results
+        result = build_result(
+            outcome,
+            total_endurance=trial.total_endurance,
+            slots=trial.backing.size,
+            engine=engine,
+            metrics=metrics,
+            **describe,
+        )
+        if shadow_sample > 0.0 and should_audit(shadow_sample, integrity_key):
+            _shadow_audit(member, result, repro, metrics)
+    except InvariantViolation as violation:
+        write_violation_bundle(violation)
+        raise
+    return result
 
 
 def _advance_trial(
     state: BatchedSchemeState,
-    trial: int,
     *,
     endurance: np.ndarray,
     backing: np.ndarray,
@@ -788,11 +718,9 @@ def _advance_trial(
     prone_death: Optional[np.ndarray] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Tuple[float, int, int, str, List[TimelineEvent], dict]:
-    """Advance one trial to device failure: the batched epoch kernel.
+    """Advance one run to device failure: the batched epoch kernel.
 
-    Every ``fluid-batched`` run (as the one trial of a one-member
-    ensemble) and every ``fluid-ensemble`` trial runs this loop.  Each
-    pass selects the next
+    Every fluid run runs this loop.  Each pass selects the next
     chronologically safe epoch of deaths, decides it in one
     ``replace_batch`` call and integrates the served writes of the epoch
     with a cumulative sum.  The floor is fetched once before the loop;
@@ -847,7 +775,7 @@ def _advance_trial(
     live_count = backing.size
     failure_reason = _DEGENERATE_REASON
     timeline: List[TimelineEvent] = []
-    floor = state.replacement_extra_floor(trial)
+    floor = state.replacement_extra_floor()
     # Tightened safe-prefix bound: the largest weight among *still prone*
     # slots.  Slots only ever leave the prone set (removal or terminal
     # failure), so the last recomputed maximum stays a valid upper bound;
@@ -910,7 +838,7 @@ def _advance_trial(
         if prone is not None:
             work = prone
         else:
-            capacity = state.replacement_capacity(trial)
+            capacity = state.replacement_capacity()
             limit = None if capacity is None else int(capacity) + BATCH_LIMIT + 1
             if limit is not None and limit < current_death.size:
                 # Value partition: every slot strictly below the
@@ -943,7 +871,6 @@ def _advance_trial(
             deaths=deaths,
             backing=backing,
             current_death=current_death,
-            trial=trial,
         )
 
     while True:
@@ -1002,7 +929,7 @@ def _advance_trial(
                 reach = floor / w_max_active if floor is not None else 0.0
                 want = _run_limit(limit - v, reach, BATCH_LIMIT)
                 ahead = (
-                    state.lookahead(trial, slot, dead_line, want) if want > 1 else None
+                    state.lookahead(slot, dead_line, want) if want > 1 else None
                 )
                 if ahead is not None:
                     lines, fail = ahead
@@ -1016,7 +943,7 @@ def _advance_trial(
                     run = 1 + _run_prefix(
                         t[1 : size + (fail is not None)], limit, reach
                     )
-                    state.commit_lookahead(trial, slot, dead_line, run)
+                    state.commit_lookahead(slot, dead_line, run)
                     # Served writes: served + (t[j] - t[j - 1]) * weight * eta.
                     served_at = np.empty(run + 1)
                     served_at[0] = served
@@ -1060,7 +987,7 @@ def _advance_trial(
                     run = 1
                     served = served + (v - v_now) * active_weight * eta
                     v_now = v
-                    outcome = state.replace(trial, slot, dead_line)
+                    outcome = state.replace(slot, dead_line)
                     line = None
                     if isinstance(outcome, ReplaceWith):
                         action, line = BATCH_REPLACE, int(outcome.line)
@@ -1159,9 +1086,7 @@ def _advance_trial(
 
         sel = keys if work is None else work[keys]
         dead_lines = backing_row[keys]  # fancy index: a copy, safe to keep
-        actions, out_lines, out_wear, fail_reason = state.replace_batch(
-            trial, sel, dead_lines
-        )
+        actions, out_lines, out_wear, fail_reason = state.replace_batch(sel, dead_lines)
         count = int(actions.size)
 
         # Capacity-degradation failure truncates like the scalar loop: the

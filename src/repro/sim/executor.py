@@ -1,10 +1,9 @@
 """Executor protocol: one supervision contract, many execution backends.
 
 :class:`~repro.sim.runner.SimRunner` owns everything that is backend
-agnostic -- task identity, cache/checkpoint scanning, ensemble chunking,
-result fan-out, stats -- and delegates the actual *supervised execution*
-of the pending tasks to an :class:`ExecutorBackend`.  Two backends ship
-with the repo:
+agnostic -- task identity, cache/checkpoint scanning, result delivery,
+stats -- and delegates the actual *supervised execution* of the pending
+tasks to an :class:`ExecutorBackend`.  Two backends ship with the repo:
 
 * the in-tree process pool (``"pool"``, the default) -- jobs worth of
   local worker processes under the PR-3 supervisor (deadlines, retry
@@ -33,7 +32,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.resilience import FailureRecord, ResiliencePolicy, is_retryable
@@ -73,9 +72,6 @@ class SupervisedTask:
     queue_seconds: float = 0.0
     harvest_seconds: float = 0.0
     requeue_seconds: float = 0.0
-    #: Member-level states folded into this one (ensemble chunks only):
-    #: completion and failure fan back out to these.
-    members: Optional[List["SupervisedTask"]] = None
 
 
 @dataclass
@@ -97,8 +93,7 @@ class ExecutionSummary:
     degraded: bool = False
 
 
-#: Completion callback: ``(state, result, elapsed_seconds)``.  For
-#: ensemble chunks ``result`` is the member-ordered result list.
+#: Completion callback: ``(state, result, elapsed_seconds)``.
 CompletionCallback = Callable[[SupervisedTask, object, float], None]
 
 

@@ -16,17 +16,16 @@ writes is the integral above.  The exact per-write
 :class:`~repro.sim.reference.ReferenceSimulator` validates the
 approximation end to end in the test suite.
 
-Every run is a one-member :func:`~repro.sim.ensemble.simulate_ensemble`
-call: that function is the one place a run's scheme state and per-trial
-arrays are built, and :func:`repro.sim.ensemble._advance_trial` -- the
+Every run is one :func:`~repro.sim.ensemble.simulate_ensemble` call:
+that function is the one place a run's scheme state and kernel arrays
+are built, and :func:`repro.sim.ensemble._advance_trial` -- the
 vectorized epoch kernel -- is the one loop that advances them.  Death
 times live in one numpy array; each epoch selects the next batch of
 deaths, trims it to a *chronologically safe prefix*, decides the whole
 prefix in one :meth:`~repro.sparing.base.SpareScheme.replace_batch`
 call, and integrates the served writes of the epoch with a cumulative
-sum.  The two engine names (:data:`ENGINES`) differ only in dispatch:
-a ``fluid-batched`` run is the one-trial case of the ``fluid-ensemble``
-engine, which the runner stacks into chunks of many trials.
+sum.  The two engine names (:data:`ENGINES`) run the same code and
+differ only in the ``metadata["engine"]`` label of their results.
 
 The scalar event loop -- a heap of death times, one scalar ``replace``
 call per death, always on a real initialized scheme -- is not an
@@ -96,10 +95,10 @@ from repro.util.rng import RandomState
 from repro.wearlevel.base import WearLeveler
 
 #: Engine names accepted by :class:`LifetimeSimulator` and the CLI.
-#: Both run the batched epoch kernel; ``fluid-ensemble`` lets the runner
-#: advance many Monte-Carlo trials per invocation (see
-#: :mod:`repro.sim.ensemble`), and a single run on it is bit-identical
-#: to ``fluid-batched``.
+#: Both run the batched epoch kernel, one run per call, with identical
+#: results; ``fluid-ensemble`` is only a result label.  It stays accepted
+#: so that the cache keys, golden digests, checkpoints and result bodies
+#: of runs that name it keep their identity.
 ENGINES = ("fluid-batched", "fluid-ensemble")
 
 #: Upper bound on deaths pulled into one epoch of the batched engine.
@@ -246,8 +245,8 @@ def build_result(
 class LifetimeSimulator:
     """Fluid lifetime simulation of one device/attack/defence combination.
 
-    A run is a one-member :func:`~repro.sim.ensemble.simulate_ensemble`
-    call, which owns initialization, guard wiring and the shadow audit.
+    A run is one :func:`~repro.sim.ensemble.simulate_ensemble` call,
+    which owns initialization, guard wiring and the shadow audit.
 
     Parameters
     ----------
@@ -257,9 +256,9 @@ class LifetimeSimulator:
         Attack or workload model.
     sparing:
         Spare-line replacement scheme (fresh instance).  Runs that need a
-        real scheme -- paranoia guards, and schemes without a stacked
-        state -- initialize it; the others leave it
-        uninitialized and keep their bookkeeping in the stacked state.
+        real scheme -- paranoia guards, and schemes without a lean
+        kernel state -- initialize it; the others leave it
+        uninitialized and keep their bookkeeping in the lean state.
     wearleveler:
         Wear-leveling scheme (fresh instance; attached here); defaults to
         the identity scheme.
@@ -269,14 +268,14 @@ class LifetimeSimulator:
         Master seed; forked deterministically into per-component streams.
     engine:
         ``"fluid-batched"`` (the default) or ``"fluid-ensemble"``; both
-        run the epoch kernel and produce identical results (see
-        :data:`ENGINES`).
+        run the epoch kernel and produce identical results, apart from
+        this label (see :data:`ENGINES`).
     record_timeline:
         Whether to record per-death :class:`TimelineEvent` entries.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`: the run
         records ``sim/init`` and ``sim/kernel`` spans plus deterministic
-        counters (``sim.runs``, ``sim.ensembles``, ``sim.deaths``,
+        counters (``sim.runs``, ``sim.deaths``,
         ``sim.replacements``, ``sim.epochs`` /
         ``sim.sequential_rounds`` / ``sim.regime_switches`` /
         ``sim.full_scans``) and the
@@ -336,8 +335,8 @@ class LifetimeSimulator:
         enabled and a predicate fails, or if a sampled shadow audit
         diverges.
         """
-        [result] = simulate_ensemble(
-            [self._member],
+        return simulate_ensemble(
+            self._member,
             engine=self._engine,
             record_timeline=self._record_timeline,
             max_timeline_events=self._max_timeline_events,
@@ -345,7 +344,6 @@ class LifetimeSimulator:
             paranoia=self._paranoia,
             shadow_sample=self._shadow_sample,
         )
-        return result
 
 
 def simulate_lifetime(

@@ -145,10 +145,10 @@ def monte_carlo_lifetime(
         Execution options, forwarded to :func:`~repro.sim.runner.run_tasks`.
         Replica seeds are forked up front, so results are identical in any
         job count; unpicklable factories (lambdas, closures) silently fall
-        back to serial execution.  ``engine="fluid-ensemble"`` advances
-        many replicas per kernel pass (each still bit-identical to its
-        solo ``"fluid-batched"`` run) -- the fast choice for large replica
-        counts.
+        back to serial execution.  Every replica is one supervised task
+        on the epoch kernel whatever the ``engine``: ``"fluid-ensemble"``
+        gives results equal to ``"fluid-batched"`` apart from their
+        ``metadata["engine"]`` label.
     """
     require_positive_int(replicas, "replicas")
     if confidence not in _Z_SCORES:

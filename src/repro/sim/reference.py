@@ -13,7 +13,7 @@ wear-leveler only: slot removal shrinks the logical space, which the
 region-permutation wear-levelers cannot re-index mid-flight.
 
 :func:`exact_lifetime` is the fluid kernel's oracle: the kernel's
-per-trial arrays, advanced one death at a time by a scalar event loop;
+arrays, advanced one death at a time by a scalar event loop;
 the shadow audit and the differential tests check the kernel against it.
 """
 
@@ -83,7 +83,7 @@ class ReferenceSimulator:
         """Simulate write by write until device failure (or the guard)."""
         bank = NVMBank(self._emap, fault_model=self._fault_model)
         initialize_schemes(
-            [EnsembleMember(self._emap, self._attack, self._sparing, rng=self._rng)],
+            EnsembleMember(self._emap, self._attack, self._sparing, rng=self._rng),
             stacked=False,
         )
         backing = self._sparing.initial_backing.copy()
@@ -205,12 +205,12 @@ def exact_lifetime(
     """Run one device to failure on the scalar event loop (the oracle).
 
     Takes :func:`~repro.sim.lifetime.simulate_lifetime`'s components and
-    builds the kernel's per-trial arrays on a real initialized scheme;
+    builds the kernel's arrays on a real initialized scheme;
     results report ``metadata["engine"] == "fluid-exact"``.
     """
     member = EnsembleMember(emap, attack, sparing, wearleveler, fault_model, rng)
-    state = initialize_schemes([member], stacked=False)
-    trial = _init_trial(state, 0, member, [])
+    state = initialize_schemes(member, stacked=False)
+    trial = _init_trial(state, member)
     outcome = _run_exact(state, trial, record_timeline, max_timeline_events)
     return build_result(
         outcome,
@@ -227,7 +227,7 @@ def _run_exact(
     record_timeline: bool,
     max_timeline_events: int,
 ) -> tuple[float, int, int, str, list[TimelineEvent], dict]:
-    """Advance ``state``'s trial 0 to device failure, one death at a time.
+    """Advance the run to device failure, one death at a time.
 
     Every death is decided through ``state.replace``, which
     :func:`exact_lifetime` always backs with a real initialized scheme.
@@ -274,7 +274,7 @@ def _run_exact(
         deaths += 1
         dead_line = int(backing[slot])
 
-        outcome = state.replace(0, slot, dead_line)
+        outcome = state.replace(slot, dead_line)
         if isinstance(outcome, ReplaceWith):
             replacements += 1
             backing[slot] = outcome.line

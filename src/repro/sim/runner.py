@@ -81,7 +81,7 @@ from repro.sim.faults import (
     mark_worker_process,
     task_scope,
 )
-from repro.sim.ensemble import ENGINE_NAME, EnsembleMember, simulate_ensemble
+from repro.sim.ensemble import EnsembleMember, simulate_ensemble
 from repro.sim.lifetime import normalize_engine
 from repro.sim.resilience import (
     Checkpoint,
@@ -119,14 +119,6 @@ WEARLEVELERS: Tuple[str, ...] = (
 
 #: Below this many uncached tasks a process pool costs more than it saves.
 MIN_PARALLEL_TASKS: int = 2
-
-#: Ensemble chunks never exceed this many trials.  Every
-#: member's endurance map stays alive for the chunk's duration, so the
-#: cap bounds peak memory -- and measured throughput at the benchmark
-#: configuration (64k lines) degrades past ~32 trials per chunk as the
-#: chunk's working set outgrows the cache hierarchy, so the cap is also
-#: the empirical sweet spot.
-MAX_AUTO_CHUNK: int = 32
 
 
 # ----------------------------------------------------------------------
@@ -383,12 +375,12 @@ AnyTask = Union[SimTask, CallableTask]
 def _execute_solo(
     task: AnyTask, metrics: Optional[MetricsRegistry]
 ) -> Tuple[SimulationResult, float]:
-    """Run one task as a one-member ensemble on its own engine."""
+    """Run one task on the epoch kernel, labelled with its engine."""
     start = perf_counter()
     payload, options = _task_context_of(task)
     with snapshot.task_context(payload, options):
-        [result] = simulate_ensemble(
-            [task.member(metrics)],
+        result = simulate_ensemble(
+            task.member(metrics),
             engine=task.engine,
             record_timeline=task.record_timeline,
             metrics=metrics,
@@ -396,42 +388,6 @@ def _execute_solo(
             shadow_sample=task.shadow_sample,
         )
     return result, perf_counter() - start
-
-
-@dataclass(frozen=True)
-class _EnsembleChunk:
-    """A group of same-option ensemble tasks advanced in one kernel pass.
-
-    The runner forms chunks from consecutive pending tasks whose engine
-    is ``"fluid-ensemble"`` and whose execution options agree, then
-    supervises the chunk as one unit: one pool dispatch, one timeout
-    budget, one retry counter.  Completion fans back out -- each member
-    keeps its own results slot, cache entry, and checkpoint record, so
-    everything downstream of the runner is oblivious to the grouping.
-
-    Components come from each task's ``member()``, so stateful
-    factories observe the exact call sequence of per-task dispatch.
-    """
-
-    members: Tuple[AnyTask, ...]
-    record_timeline: bool = False
-    paranoia: str = "off"
-    shadow_sample: float = 0.0
-    label: str = ""
-
-    def execute(
-        self, metrics: Optional[MetricsRegistry] = None
-    ) -> Tuple[List[SimulationResult], float]:
-        """Run every member through one ensemble; results in member order."""
-        start = perf_counter()
-        results = simulate_ensemble(
-            [task.member(metrics) for task in self.members],
-            record_timeline=self.record_timeline,
-            metrics=metrics,
-            paranoia=self.paranoia,
-            shadow_sample=self.shadow_sample,
-        )
-        return results, perf_counter() - start
 
 
 def _task_context_of(task: AnyTask) -> Tuple[Optional[dict], dict]:
@@ -1175,94 +1131,6 @@ class SimRunner:
         """The resolved execution backend."""
         return self._backend
 
-    # ------------------------------------------------------------------
-    # Ensemble chunking
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _ensemble_group_of(task: AnyTask) -> Optional[Tuple[object, ...]]:
-        """Grouping key of an ensemble-eligible task (``None`` if not).
-
-        Only tasks with identical execution options may share a chunk
-        (``simulate_ensemble`` applies one option set to every member),
-        and task types are never mixed so each chunk preserves its
-        type's historical component-construction order.
-        """
-        if getattr(task, "engine", None) != ENGINE_NAME:
-            return None
-        return (
-            type(task).__name__,
-            task.record_timeline,
-            task.paranoia,
-            float(task.shadow_sample),
-        )
-
-    def _chunk_ensembles(self, pending: List[SupervisedTask]) -> List[SupervisedTask]:
-        """Fold consecutive ensemble-engine tasks into chunk states.
-
-        Consecutive tasks with the ``"fluid-ensemble"`` engine and
-        matching options are advanced by one stacked kernel pass per
-        chunk (see :mod:`repro.sim.ensemble`).  A chunk holds
-        ``ceil(run / jobs)`` members (capped at :data:`MAX_AUTO_CHUNK`)
-        so one pass over the task list saturates the process pool while
-        still amortizing per-trial dispatch.
-        Checkpoint- and cache-served members never reach this point, so a
-        resumed run re-chunks only the remaining members.
-        """
-        chunked: List[SupervisedTask] = []
-        run: List[SupervisedTask] = []
-        run_group: Optional[Tuple[object, ...]] = None
-
-        def flush() -> None:
-            nonlocal run, run_group
-            if not run:
-                return
-            size = min(-(-len(run) // self._jobs), MAX_AUTO_CHUNK)
-            for start in range(0, len(run), size):
-                group = run[start : start + size]
-                if len(group) == 1:
-                    # A lone member runs as itself: the one-trial
-                    # ensemble path in the engine gives the same result
-                    # without the chunk indirection.
-                    chunked.append(group[0])
-                    continue
-                first = group[0].task
-                label = f"ensemble[{len(group)}] {group[0].label}".strip()
-                chunk = _EnsembleChunk(
-                    members=tuple(state.task for state in group),
-                    record_timeline=first.record_timeline,
-                    paranoia=first.paranoia,
-                    shadow_sample=first.shadow_sample,
-                    label=label,
-                )
-                digest = hashlib.sha256(
-                    ("ensemble:" + "\n".join(state.key for state in group)).encode()
-                ).hexdigest()
-                chunked.append(
-                    SupervisedTask(
-                        index=group[0].index,
-                        task=chunk,
-                        key=digest,
-                        label=label,
-                        members=list(group),
-                    )
-                )
-            run = []
-            run_group = None
-
-        for state in pending:
-            group_key = self._ensemble_group_of(state.task)
-            if group_key is None:
-                flush()
-                chunked.append(state)
-                continue
-            if run and group_key != run_group:
-                flush()
-            run.append(state)
-            run_group = group_key
-        flush()
-        return chunked
-
     def run(self, tasks: Sequence[AnyTask]) -> List[SimulationResult]:
         """Execute ``tasks``; results in submission order.
 
@@ -1339,13 +1207,9 @@ class SimRunner:
                 pending.append(
                     SupervisedTask(index=index, task=task, key=key, label=label)
                 )
-            pending = self._chunk_ensembles(pending)
-        simulated = sum(
-            len(state.members) if state.members is not None else 1
-            for state in pending
-        )
+        simulated = len(pending)
 
-        def complete_one(
+        def on_complete(
             state: SupervisedTask, result: SimulationResult, elapsed: float
         ) -> None:
             results[state.index] = result
@@ -1357,18 +1221,6 @@ class SimRunner:
                 self._checkpoint.append(state.key, result, elapsed, state.label)
             if self._on_result is not None:
                 self._on_result(state.index, result, elapsed)
-
-        def on_complete(state: SupervisedTask, result, elapsed: float) -> None:
-            if state.members is None:
-                complete_one(state, result, elapsed)
-                return
-            # Ensemble chunk: one worker report carries every member's
-            # result; fan back out so cache entries, checkpoint records,
-            # and per-task seconds are indistinguishable from per-task
-            # dispatch (the shared wall time is split evenly).
-            share = elapsed / len(state.members)
-            for member_state, member_result in zip(state.members, result):
-                complete_one(member_state, member_result, share)
 
         summary = ExecutionSummary()
         jobs_used = 1
@@ -1409,26 +1261,6 @@ class SimRunner:
             metrics.gauge("runner.degraded", 1.0 if summary.degraded else 0.0)
         total_span.__exit__(None, None, None)
 
-        # A failed chunk surfaces one FailureRecord per member, each under
-        # the member's own key/label, so downstream failure handling never
-        # sees the chunk as a unit.
-        chunk_by_index = {
-            state.index: state for state in pending if state.members is not None
-        }
-        failures: Dict[int, FailureRecord] = {}
-        for index, record in summary.failures.items():
-            chunk = chunk_by_index.get(index)
-            if chunk is None:
-                failures[index] = record
-                continue
-            for member_state in chunk.members:
-                failures[member_state.index] = dataclasses.replace(
-                    record,
-                    index=member_state.index,
-                    key=member_state.key,
-                    label=member_state.label,
-                )
-
         stats = RunnerStats(
             tasks=len(tasks),
             simulated=simulated,
@@ -1439,7 +1271,7 @@ class SimRunner:
             checkpoint_hits=checkpoint_hits,
             retries=summary.retries,
             pool_respawns=summary.pool_respawns,
-            failures=tuple(failures[index] for index in sorted(failures)),
+            failures=tuple(summary.failures[index] for index in sorted(summary.failures)),
             interrupted=summary.interrupted,
             events=tuple(events),
             queue_seconds=sum(state.queue_seconds for state in pending),

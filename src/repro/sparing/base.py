@@ -29,12 +29,11 @@ engine uses it to size chronologically-safe death batches (see
 ``sim/lifetime.py``).  Returning ``None`` (the default) makes the engine
 fall back to one-death-at-a-time delivery.
 
-**Ensemble stacking.**  Every fluid run is initialized and advanced
-through :class:`BatchedSchemeState` -- a solo run is a one-member
-ensemble (see ``sim/ensemble.py``): per-trial state stacked into arrays,
-with a :class:`FallbackSchemeState` wrapping real per-trial instances
-for any scheme without a stacked implementation, for every run the
-paranoia guards drive, and for the scalar oracle
+**Kernel scheme state.**  Every fluid run is initialized and advanced
+through a :class:`BatchedSchemeState` (see ``sim/ensemble.py``): a lean
+array form where the scheme family has one (Max-WE), else a
+:class:`FallbackSchemeState` wrapping the real initialized instance --
+also for every run the paranoia guards drive, and for the scalar oracle
 (:func:`~repro.sim.reference.exact_lifetime`).
 """
 
@@ -209,9 +208,9 @@ class SpareScheme(ABC):
     #: Short machine-readable name used in result tables.
     name: str = "sparing"
 
-    #: Ensemble-engine hint: ``True`` promises :meth:`replace_batch` never
+    #: Epoch-kernel hint: ``True`` promises :meth:`replace_batch` never
     #: returns :data:`BATCH_REMOVE` (the scheme replaces or fails, it does
-    #: not degrade capacity).  The stacked kernel uses the promise to skip
+    #: not degrade capacity).  The kernel uses the promise to skip
     #: per-epoch capacity bookkeeping; a scheme that removes slots must
     #: leave this ``False``.
     ensemble_never_removes: bool = False
@@ -400,7 +399,7 @@ class SpareScheme(ABC):
 
         With :attr:`ensemble_never_removes` schemes, only slots whose
         death times fall among the ``capacity + BATCH_LIMIT`` smallest can
-        ever be selected before the device fails, so the ensemble kernel
+        ever be selected before the device fails, so the epoch kernel
         uses this bound to restrict its per-epoch scans to that candidate
         set (see ``sim/ensemble.py``).  Must be an over-estimate, never an
         under-estimate; ``None`` (the default) disables the prefilter.
@@ -412,25 +411,21 @@ class SpareScheme(ABC):
         return f"{self.name} (p={self._spare_fraction:.0%})"
 
     # ------------------------------------------------------------------
-    # Ensemble stacking
+    # Kernel scheme state
     # ------------------------------------------------------------------
 
     @classmethod
     def make_batched_state(
-        cls,
-        schemes: Sequence["SpareScheme"],
-        emaps: Sequence[EnduranceMap],
+        cls, scheme: "SpareScheme", emap: EnduranceMap
     ) -> Optional["BatchedSchemeState"]:
-        """Build a cross-trial stacked state for the ensemble engine.
+        """Build a ledger-free kernel state for ``scheme`` on ``emap``.
 
-        ``schemes[t]`` is the (uninitialized) scheme of trial ``t`` and
-        ``emaps[t]`` its endurance map.  A scheme family whose
-        initialization and replacement bookkeeping vectorize across
-        trials overrides this to return a :class:`BatchedSchemeState`
-        holding ``(trials, ...)`` tensors; returning ``None`` (the
-        default) makes the engine fall back to per-trial scheme
-        instances wrapped in :class:`FallbackSchemeState` -- correct for
-        every scheme, just without the stacked-init speedup.
+        ``scheme`` is the run's (uninitialized) scheme.  A scheme family
+        whose replacement bookkeeping has a leaner array form overrides
+        this to return a :class:`BatchedSchemeState`; returning ``None``
+        (the default) makes the engine initialize ``scheme`` itself and
+        wrap it in :class:`FallbackSchemeState` -- correct for every
+        scheme, just without the lean state.
         """
         return None
 
@@ -438,23 +433,22 @@ class SpareScheme(ABC):
 #: A run lookahead, ``(lines, fail_reason)``: see :class:`BatchedSchemeState`.
 Lookahead = Tuple[np.ndarray, Optional[str]]
 
-#: The raw per-trial verdict tuple a :class:`BatchedSchemeState` returns:
+#: The raw verdict tuple a :class:`BatchedSchemeState` returns:
 #: ``(actions, lines, wear, fail_reason)`` with the exact semantics of the
-#: matching :class:`BatchOutcome` fields.  Stacked states return the plain
+#: matching :class:`BatchOutcome` fields.  Lean states return the plain
 #: tuple so the hot loop skips dataclass construction and validation.
 RawBatchOutcome = Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[str]]
 
 
 class BatchedSchemeState(ABC):
-    """Per-trial sparing state stacked across an ensemble of trials.
+    """One run's sparing state, as the batched epoch kernel drives it.
 
-    The batched epoch kernel (``sim/ensemble.py``) advances every trial
-    through this protocol; a solo run is the one trial of a one-member
-    ensemble.  It is the scheme-side contract: every method takes a ``trial`` index
-    and must behave *bit-identically* to a fresh scheme instance
-    initialized for that trial alone -- same backing permutation, same
-    replacement decisions, same failure strings -- so ensemble results
-    split back into per-trial results indistinguishable from solo runs.
+    The kernel (``sim/ensemble.py``) advances every fluid run through
+    this protocol.  It is the scheme-side contract: every method must
+    behave *bit-identically* to a fresh scheme instance initialized for
+    the run -- same backing permutation, same replacement decisions,
+    same failure strings -- so a run on a lean state is
+    indistinguishable from one on the real scheme.
 
     **Lookahead.**  Under concentrated wear one slot dies over and over
     while every other slot waits, and the kernel settles such a chain of
@@ -482,136 +476,120 @@ class BatchedSchemeState(ABC):
 
     @property
     @abstractmethod
-    def trials(self) -> int:
-        """Number of stacked trials ``T``."""
-
-    @property
-    @abstractmethod
     def never_removes(self) -> bool:
-        """True iff no trial's scheme can return :data:`BATCH_REMOVE`."""
+        """True iff the scheme can never return :data:`BATCH_REMOVE`."""
 
     @abstractmethod
-    def backing(self, trial: int) -> np.ndarray:
-        """Trial ``trial``'s initial slot-to-line map.
+    def backing(self) -> np.ndarray:
+        """The initial slot-to-line map.
 
-        A stacked state may share it across trials and runs, read-only;
-        callers copy it before writing.
+        A lean state may share it across runs, read-only; callers copy
+        it before writing.
         """
 
     def initial_arrays(
-        self, trial: int, endurance: np.ndarray
+        self, endurance: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``(backing, budgets, total_endurance)`` of trial ``trial``.
+        """``(backing, budgets, total_endurance)`` of the run.
 
         ``budgets`` is ``endurance[backing]`` and ``total_endurance`` is
         ``float(endurance.sum())``; like :meth:`backing`, the arrays may
         be shared and read-only.
         """
-        backing = self.backing(trial)
+        backing = self.backing()
         return backing, endurance[backing], float(endurance.sum())
 
     @abstractmethod
-    def min_user_slots(self, trial: int) -> int:
-        """Minimum serviceable slot count of trial ``trial``."""
+    def min_user_slots(self) -> int:
+        """Minimum serviceable slot count."""
 
     @abstractmethod
     def replace_batch(
-        self, trial: int, slots: np.ndarray, dead_lines: np.ndarray
+        self, slots: np.ndarray, dead_lines: np.ndarray
     ) -> RawBatchOutcome:
-        """Trial-``trial`` equivalent of :meth:`SpareScheme.replace_batch`."""
+        """Raw-tuple equivalent of :meth:`SpareScheme.replace_batch`."""
 
     @abstractmethod
-    def replace(self, trial: int, slot: int, dead_line: int) -> Replacement:
-        """Trial-``trial`` equivalent of :meth:`SpareScheme.replace`.
+    def replace(self, slot: int, dead_line: int) -> Replacement:
+        """Equivalent of :meth:`SpareScheme.replace`.
 
         The kernel's one-death epochs (the BPA sequential regime) and the
         oracle's scalar event loop decide deaths one at a time through it.
         """
 
     @abstractmethod
-    def replacement_extra_floor(self, trial: int) -> Optional[float]:
-        """Trial equivalent of :meth:`SpareScheme.replacement_extra_floor`."""
+    def replacement_extra_floor(self) -> Optional[float]:
+        """Equivalent of :meth:`SpareScheme.replacement_extra_floor`."""
 
     @abstractmethod
-    def describe(self, trial: int) -> str:
-        """Trial equivalent of :meth:`SpareScheme.describe`."""
+    def describe(self) -> str:
+        """Equivalent of :meth:`SpareScheme.describe`."""
 
-    def replacement_capacity(self, trial: int) -> Optional[int]:
-        """Trial equivalent of :meth:`SpareScheme.ensemble_replacement_capacity`."""
+    def replacement_capacity(self) -> Optional[int]:
+        """Equivalent of :meth:`SpareScheme.ensemble_replacement_capacity`."""
         return None
 
     def lookahead(
-        self, trial: int, slot: int, dead_line: int, limit: int
+        self, slot: int, dead_line: int, limit: int
     ) -> Optional[Lookahead]:
-        """The lines trial ``trial``'s ``slot`` would get next (see above)."""
+        """The lines ``slot`` would get next (see above)."""
         return None
 
-    def commit_lookahead(
-        self, trial: int, slot: int, dead_line: int, deaths: int
-    ) -> None:
+    def commit_lookahead(self, slot: int, dead_line: int, deaths: int) -> None:
         """Decide the first ``deaths`` deaths of the last lookahead."""
         raise NotImplementedError(f"{type(self).__name__} has no lookahead")
 
-    def scheme(self, trial: int) -> Optional[SpareScheme]:
-        """The real initialized scheme instance behind ``trial``, if any.
+    def scheme(self) -> Optional[SpareScheme]:
+        """The real initialized scheme instance behind the state, if any.
 
-        The fallback state exposes its wrapped instances so the paranoia
+        The fallback state exposes its wrapped instance so the paranoia
         guards can run ``pool_accounting``/``check_integrity`` against
-        genuine scheme tables; stacked states return ``None`` (they are
-        only eligible when guards are off).
+        genuine scheme tables; lean states return ``None`` (they are
+        only used when guards are off).
         """
         return None
 
 
 class FallbackSchemeState(BatchedSchemeState):
-    """Ensemble scheme state backed by real per-trial scheme instances.
+    """Kernel scheme state backed by a real scheme instance.
 
-    The universal path: each trial keeps its own initialized
+    The universal path: the run keeps its own initialized
     :class:`SpareScheme`, so any scheme -- including third-party scalar
     ones -- runs under the kernel with exactly its own semantics.
-    ``schemes[t]`` must already be initialized with trial ``t``'s
-    endurance map and rng stream.
+    ``scheme`` must already be initialized with the run's endurance map
+    and rng stream.
     """
 
-    def __init__(self, schemes: Sequence[SpareScheme]) -> None:
-        if not schemes:
-            raise ValueError("an ensemble needs at least one trial")
-        self._schemes = list(schemes)
-        self._never_removes = all(
-            type(scheme).ensemble_never_removes for scheme in self._schemes
-        )
-
-    @property
-    def trials(self) -> int:
-        return len(self._schemes)
+    def __init__(self, scheme: SpareScheme) -> None:
+        self._scheme = scheme
 
     @property
     def never_removes(self) -> bool:
-        return self._never_removes
+        return type(self._scheme).ensemble_never_removes
 
-    def backing(self, trial: int) -> np.ndarray:
-        return self._schemes[trial].initial_backing
+    def backing(self) -> np.ndarray:
+        return self._scheme.initial_backing
 
-    def min_user_slots(self, trial: int) -> int:
-        return self._schemes[trial].min_user_slots
+    def min_user_slots(self) -> int:
+        return self._scheme.min_user_slots
 
     def replace_batch(
-        self, trial: int, slots: np.ndarray, dead_lines: np.ndarray
+        self, slots: np.ndarray, dead_lines: np.ndarray
     ) -> RawBatchOutcome:
-        outcome = self._schemes[trial].replace_batch(slots, dead_lines)
+        outcome = self._scheme.replace_batch(slots, dead_lines)
         return outcome.actions, outcome.lines, outcome.wear, outcome.fail_reason
 
-    def replace(self, trial: int, slot: int, dead_line: int) -> Replacement:
-        return self._schemes[trial].replace(slot, dead_line)
+    def replace(self, slot: int, dead_line: int) -> Replacement:
+        return self._scheme.replace(slot, dead_line)
 
-    def replacement_extra_floor(self, trial: int) -> Optional[float]:
-        return self._schemes[trial].replacement_extra_floor()
+    def replacement_extra_floor(self) -> Optional[float]:
+        return self._scheme.replacement_extra_floor()
 
-    def replacement_capacity(self, trial: int) -> Optional[int]:
-        return self._schemes[trial].ensemble_replacement_capacity()
+    def replacement_capacity(self) -> Optional[int]:
+        return self._scheme.ensemble_replacement_capacity()
 
-    def describe(self, trial: int) -> str:
-        return self._schemes[trial].describe()
+    def describe(self) -> str:
+        return self._scheme.describe()
 
-    def scheme(self, trial: int) -> Optional[SpareScheme]:
-        return self._schemes[trial]
+    def scheme(self) -> Optional[SpareScheme]:
+        return self._scheme

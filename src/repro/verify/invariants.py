@@ -182,9 +182,6 @@ class EngineView:
     rounds: int
     tolerance: float
     final: bool
-    #: Ensemble-engine runs tag each view with the trial it snapshots
-    #: (each trial has its own guard; ``None`` for solo-engine runs).
-    trial: Optional[int] = None
 
 
 #: An invariant check returns ``None`` on success or a failure message.
@@ -609,7 +606,6 @@ class EngineGuard:
         backing: np.ndarray,
         current_death: np.ndarray,
         final: bool = False,
-        trial: Optional[int] = None,
     ) -> EngineView:
         """Join the engine's live state with the ledger for one check."""
         events = self.guard_deaths + backing.size
@@ -637,7 +633,6 @@ class EngineGuard:
                 self._total_endurance + self.wear_extended, events
             ),
             final=final,
-            trial=trial,
         )
 
     def on_round(self, view_of: Callable[[], EngineView]) -> None:
@@ -687,7 +682,6 @@ class EngineGuard:
                 "tolerance": view.tolerance,
                 "paranoia": self._paranoia,
                 "final": view.final,
-                **({} if view.trial is None else {"trial": view.trial}),
             },
             repro=repro,
         )

@@ -1,6 +1,6 @@
 """Differential test: the stacked Max-WE state's scalar ``replace`` vs ``MaxWE``.
 
-Solo Max-WE runs keep their replacement bookkeeping in a
+Unguarded Max-WE runs keep their replacement bookkeeping in a
 :class:`~repro.core.maxwe.MaxWEStackedState`, and the kernel's one-death
 epochs decide through its scalar ``replace``.  That port drops the
 RMT/LMT ledgers, so it is pinned here against the real scheme: the same
@@ -44,10 +44,10 @@ def replay(seed: int, fallback: bool):
     emap = endurance_map(seed)
     reference = MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback)
     reference.initialize(emap, rng=seed)
-    stacked = MaxWEStackedState([MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback)], [emap])
+    stacked = MaxWEStackedState(MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback), emap)
 
     backing = reference.initial_backing
-    np.testing.assert_array_equal(stacked.backing(0), backing)
+    np.testing.assert_array_equal(stacked.backing(), backing)
     per = emap.lines_per_region
     rwr_regions = set(reference.plan.rwr_regions.tolist())
     rwr_lines = len(rwr_regions) * per
@@ -70,10 +70,10 @@ def replay(seed: int, fallback: bool):
         dead_line = int(backing[slot])
         before = history[slot]
         want = reference.replace(slot, dead_line)
-        got = stacked.replace(0, slot, dead_line)
+        got = stacked.replace(slot, dead_line)
         assert got == want, (slot, dead_line, before)
-        assert stacked.replacement_extra_floor(0) == reference.replacement_extra_floor()
-        assert stacked.replacement_capacity(0) == capacity()
+        assert stacked.replacement_extra_floor() == reference.replacement_extra_floor()
+        assert stacked.replacement_capacity() == capacity()
         if isinstance(want, FailDevice):
             seen.add(("fail", want.reason.split()[0], before))
             return seen
@@ -106,7 +106,7 @@ def chain(state, slot, dead_line, deaths):
     """Decide ``deaths`` successive deaths of ``slot`` through replace()."""
     lines, reason = [], None
     for _ in range(deaths):
-        outcome = state.replace(0, slot, dead_line)
+        outcome = state.replace(slot, dead_line)
         if isinstance(outcome, FailDevice):
             reason = outcome.reason
             break
@@ -124,25 +124,25 @@ def test_lookahead_commit_matches_replace_chain(fallback):
     for seed in range(12):
         emap = endurance_map(seed)
         runs, steps = (
-            MaxWEStackedState([MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback)], [emap])
+            MaxWEStackedState(MaxWE(0.2, 0.5, rwr_fallback_to_lmt=fallback), emap)
             for _ in range(2)
         )
-        backing = runs.backing(0).copy()
+        backing = runs.backing().copy()
         rng = np.random.default_rng(seed)
         hot = rng.choice(backing.size, 8, replace=False).tolist()
         while True:
             slot = int(rng.choice(hot))
             dead_line = int(backing[slot])
-            was_original = runs._state[0, slot] == 0
-            lines, reason = runs.lookahead(0, slot, dead_line, int(rng.integers(1, 6)))
+            was_original = runs._state[slot] == 0
+            lines, reason = runs.lookahead(slot, dead_line, int(rng.integers(1, 6)))
             deaths = int(rng.integers(1, lines.size + (reason is not None) + 1))
             want_lines, want_reason = chain(steps, slot, dead_line, deaths)
             assert lines[: len(want_lines)].tolist() == want_lines
             if want_reason is not None:
                 assert (len(want_lines), want_reason) == (lines.size, reason)
-            runs.commit_lookahead(0, slot, dead_line, deaths)
+            runs.commit_lookahead(slot, dead_line, deaths)
             for name in ("_state", "_pool_pos", "_rwr_originals_left"):
-                np.testing.assert_array_equal(getattr(runs, name), getattr(steps, name))
+                np.testing.assert_equal(getattr(runs, name), getattr(steps, name))
             if want_lines and was_original:
                 kinds.add("first-death")
             if want_reason is not None:
@@ -167,17 +167,17 @@ def test_stacked_plan_matches_maxwe_at_64_lines_per_region(metric, seed):
     emap = EnduranceMap(values, regions=regions)
     reference = MaxWE(0.25, 0.5, region_metric=metric)
     reference.initialize(emap, rng=seed)
-    stacked = MaxWEStackedState([MaxWE(0.25, 0.5, region_metric=metric)], [emap])
+    stacked = MaxWEStackedState(MaxWE(0.25, 0.5, region_metric=metric), emap)
 
     plan = reference.plan
-    np.testing.assert_array_equal(stacked.backing(0), reference.initial_backing)
-    stacked_plan = stacked._plan(0)
+    np.testing.assert_array_equal(stacked.backing(), reference.initial_backing)
+    stacked_plan = stacked._plan
     paired = np.flatnonzero(stacked_plan.sra_lookup >= 0)
     np.testing.assert_array_equal(paired, np.sort(plan.rwr_regions))
     np.testing.assert_array_equal(stacked_plan.sra_lookup[plan.rwr_regions], plan.swr_regions)
-    np.testing.assert_array_equal(stacked.backing(0)[::per] // per, plan.working_regions)
+    np.testing.assert_array_equal(stacked.backing()[::per] // per, plan.working_regions)
     np.testing.assert_array_equal(stacked_plan.pool_lines, reference._pool_lines)
     np.testing.assert_array_equal(stacked_plan.pool_floor, reference._pool_floor)
     swr_lines = (plan.swr_regions[:, None] * per + np.arange(per)).ravel()
     assert stacked_plan.swr_line_floor == emap.line_endurance[swr_lines].min()
-    assert stacked.replacement_extra_floor(0) == reference.replacement_extra_floor()
+    assert stacked.replacement_extra_floor() == reference.replacement_extra_floor()

@@ -1,4 +1,4 @@
-"""Tests for wear inspection and the endurance-map file format."""
+"""Tests for wear inspection."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.device.bank import NVMBank
 from repro.device.inspect import BankInspector, wear_heatmap
 from repro.endurance.emap import EnduranceMap
-from repro.endurance.io import load_endurance_map, save_endurance_map
 
 
 @pytest.fixture
@@ -74,37 +73,3 @@ class TestWearHeatmap:
 
     def test_legend_present(self, bank):
         assert "region budget" in wear_heatmap(bank)
-
-
-class TestEnduranceMapIO:
-    def test_round_trip(self, tmp_path):
-        emap = EnduranceMap(np.array([1.0, 2.0, 3.0, 4.0]), regions=2)
-        path = save_endurance_map(emap, tmp_path / "chip.npz")
-        loaded = load_endurance_map(path)
-        np.testing.assert_array_equal(loaded.line_endurance, emap.line_endurance)
-        assert loaded.regions == 2
-
-    def test_version_check(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez_compressed(
-            path,
-            format_version=np.int64(42),
-            line_endurance=np.array([1.0]),
-            regions=np.int64(1),
-        )
-        with pytest.raises(ValueError, match="version 42"):
-            load_endurance_map(path)
-
-    def test_loaded_map_simulates_identically(self, tmp_path):
-        from repro.attacks.uaa import UniformAddressAttack
-        from repro.core.maxwe import MaxWE
-        from repro.sim.config import ExperimentConfig
-        from repro.sim.lifetime import simulate_lifetime
-
-        config = ExperimentConfig(regions=128, lines_per_region=2)
-        emap = config.make_emap()
-        path = save_endurance_map(emap, tmp_path / "chip.npz")
-        loaded = load_endurance_map(path)
-        a = simulate_lifetime(emap, UniformAddressAttack(), MaxWE(0.1), rng=1)
-        b = simulate_lifetime(loaded, UniformAddressAttack(), MaxWE(0.1), rng=1)
-        assert a.writes_served == b.writes_served

@@ -104,10 +104,10 @@ class TestEndToEnd:
 
 class TestDedupOptions:
     def test_chunk_size_does_not_split_dedup(self, tmp_path):
-        # Results never depend on the ensemble chunk size.  A job record
-        # that still carries the retired ``trials_per_task`` option
-        # restores, runs, and publishes under the key that a fresh
-        # submission of the same batch dedups with.
+        # Results never depended on the retired ensemble chunk size.
+        # A job record that still carries the retired
+        # ``trials_per_task`` option restores, runs, and publishes under
+        # the key that a fresh submission of the same batch dedups with.
         before = SimService(ServiceConfig(state_dir=tmp_path / "state"))
         before.records_dir.mkdir(parents=True, exist_ok=True)
         before.ledgers_dir.mkdir(parents=True, exist_ok=True)

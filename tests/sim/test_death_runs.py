@@ -122,9 +122,9 @@ def commits(monkeypatch):
     seen = []
     commit = MaxWEStackedState.commit_lookahead
 
-    def spy(self, trial, slot, dead_line, deaths):
-        seen.append((int(self._state[trial, slot]), deaths))
-        return commit(self, trial, slot, dead_line, deaths)
+    def spy(self, slot, dead_line, deaths):
+        seen.append((int(self._state[slot]), deaths))
+        return commit(self, slot, dead_line, deaths)
 
     monkeypatch.setattr(MaxWEStackedState, "commit_lookahead", spy)
     return seen
@@ -231,16 +231,20 @@ class TestSchemes:
 
     def test_three_trial_ensemble(self, monkeypatch):
         def simulate(metrics):
-            members = [
-                EnsembleMember(
-                    emap=_linear_map(seed=seed),
-                    attack=BirthdayParadoxAttack(hot_fraction=hot),
-                    sparing=MaxWE(0.1, 0.9),
-                    rng=seed,
+            return [
+                simulate_ensemble(
+                    EnsembleMember(
+                        emap=_linear_map(seed=seed),
+                        attack=BirthdayParadoxAttack(hot_fraction=hot),
+                        sparing=MaxWE(0.1, 0.9),
+                        rng=seed,
+                    ),
+                    engine="fluid-ensemble",
+                    record_timeline=True,
+                    metrics=metrics,
                 )
                 for seed, hot in ((1, 1.0), (2, 0.9), (3, 1.0))
             ]
-            return simulate_ensemble(members, record_timeline=True, metrics=metrics)
 
         assert _both(monkeypatch, simulate) > 0
 

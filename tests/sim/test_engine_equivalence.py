@@ -277,8 +277,8 @@ class TestBatchOutcomeValidation:
 
 
 def assert_bit_identical(batched, ensemble):
-    """Ensemble results must equal solo fluid-batched *exactly* -- one
-    epoch kernel runs both, so not even summation order differs.  The
+    """``fluid-ensemble`` results must equal ``fluid-batched`` *exactly* --
+    one epoch kernel runs both, so not even summation order differs.  The
     whole serialized result is compared (timeline and the regime
     counters ``epochs`` / ``sequential_rounds`` / ``regime_switches`` /
     ``full_scans`` included); only ``metadata["engine"]`` may differ."""
@@ -290,7 +290,7 @@ def assert_bit_identical(batched, ensemble):
 
 
 class TestEnsembleEngine:
-    """The trial-stacked engine vs solo ``fluid-batched``: bit-identical,
+    """The ``fluid-ensemble`` label vs ``fluid-batched``: bit-identical,
     a *stronger* claim than the exact/batched writes tolerance above."""
 
     @pytest.mark.parametrize("scheme_name", sorted(SCHEME_FACTORIES))
@@ -325,40 +325,6 @@ class TestEnsembleEngine:
                 record_timeline=False,
             )
         assert_bit_identical(runs["fluid-batched"], runs["fluid-ensemble"])
-
-    def test_stacked_trials_match_solo_runs(self):
-        """Trials advanced together in one stacked pass must equal the same
-        seeds run solo -- grouping must be unobservable in the results."""
-        from repro.sim.ensemble import EnsembleMember, simulate_ensemble
-
-        model = LinearEnduranceModel.from_q(20.0, e_low=200.0)
-        grid = [
-            ("max-we", 3),
-            ("ps", 4),       # random spare selection: seeds must thread through
-            ("pcd", 5),
-            ("max-we", 6),
-            ("none", 7),
-        ]
-        members = [
-            EnsembleMember(
-                emap=linear_endurance_map(120, 40, model, rng=seed),
-                attack=UniformAddressAttack(),
-                sparing=SCHEME_FACTORIES[name](),
-                rng=seed,
-            )
-            for name, seed in grid
-        ]
-        stacked = simulate_ensemble(members)
-        for (name, seed), result in zip(grid, stacked):
-            solo = simulate_lifetime(
-                linear_endurance_map(120, 40, model, rng=seed),
-                UniformAddressAttack(),
-                SCHEME_FACTORIES[name](),
-                rng=seed,
-                engine="fluid-batched",
-                record_timeline=False,
-            )
-            assert_bit_identical(solo, result)
 
     def test_timeline_events_bit_identical(self):
         emap = EnduranceMap(np.linspace(100.0, 2000.0, 60), regions=30)

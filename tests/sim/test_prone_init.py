@@ -51,8 +51,8 @@ def _trial(emap, attack, scheme, wearleveler, seed):
         wearleveler,
         rng=seed,
     )
-    state = initialize_schemes([member], stacked=True)
-    return _init_trial(state, 0, member, [])
+    state = initialize_schemes(member, stacked=True)
+    return _init_trial(state, member)
 
 
 def _death(trial):

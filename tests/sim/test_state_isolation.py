@@ -90,13 +90,13 @@ class TestSchemeIsolation:
         :class:`MaxWEStackedState`; the kernel's redirects must not reach
         that state's initial slot assignment either."""
         emap = SMALL.make_emap()
-        expected = MaxWEStackedState([MaxWE(0.1, 0.9)], [emap]).backing(0)
+        expected = MaxWEStackedState(MaxWE(0.1, 0.9), emap).backing()
 
         built = []
         make_batched_state = MaxWE.make_batched_state.__func__
 
-        def capture(cls, schemes, emaps):
-            state = make_batched_state(cls, schemes, emaps)
+        def capture(cls, scheme, emap):
+            state = make_batched_state(cls, scheme, emap)
             built.append(state)
             return state
 
@@ -105,18 +105,17 @@ class TestSchemeIsolation:
         assert result.replacements > 0  # the run did redirect slots
         [state] = built
         assert isinstance(state, MaxWEStackedState)
-        np.testing.assert_array_equal(state.backing(0), expected)
+        np.testing.assert_array_equal(state.backing(), expected)
 
     def test_shared_backing_and_budgets_are_write_protected(self):
-        """The stacked plan's backing and budgets are shared by every
-        trial of the map (and, inside a runner run, by every simulation
-        of it): nobody may write them, and runs on them leave them as
+        """The stacked plan's backing and budgets are shared, inside a
+        runner run, by every simulation of the map: nobody may write them, and runs on them leave them as
         they were."""
         emap = SMALL.make_emap()
         with run_memo():
-            state = MaxWEStackedState([MaxWE(0.1, 0.9)], [emap])
-            backing, budgets, _ = state.initial_arrays(0, emap.line_endurance)
-            assert state.backing(0) is backing
+            state = MaxWEStackedState(MaxWE(0.1, 0.9), emap)
+            backing, budgets, _ = state.initial_arrays(emap.line_endurance)
+            assert state.backing() is backing
             before = (backing.copy(), budgets.copy())
             for array in (backing, budgets):
                 with pytest.raises(ValueError):
@@ -124,8 +123,8 @@ class TestSchemeIsolation:
             for attack in (UniformAddressAttack(), BirthdayParadoxAttack()):
                 result = simulate_lifetime(emap, attack, MaxWE(0.1, 0.9), rng=7)
                 assert result.replacements > 0
-            shared = MaxWEStackedState([MaxWE(0.1, 0.9)], [emap])
-            assert shared.backing(0) is backing  # the runs used this plan
+            shared = MaxWEStackedState(MaxWE(0.1, 0.9), emap)
+            assert shared.backing() is backing  # the runs used this plan
         np.testing.assert_array_equal(backing, before[0])
         np.testing.assert_array_equal(budgets, before[1])
 
