@@ -14,7 +14,13 @@ and in CI (the ``service-smoke`` job):
    *resumed* (``service.resumed`` >= 1 and ``runner.checkpoint_hits``
    >= 1 in the manifest -- the killed run's ledger was honored), and
    that a cache-warm resubmission from another tenant completes as a
-   dedup hit without dispatching the runner.
+   dedup hit without dispatching the runner;
+6. on a fresh service, submit ``RETAINED_FINISHED_JOBS + EXTRA_JOBS``
+   distinct small batches and assert from the counters that exactly
+   ``EXTRA_JOBS`` finished jobs and bodies left memory, that
+   ``service.jobs_known`` never exceeds the window plus the jobs in
+   flight, and that an evicted job's body -- now served from its
+   record -- is byte-identical to a direct :func:`run_batch`.
 
 Exits non-zero on any violation.  Usage::
 
@@ -37,6 +43,14 @@ SPECS = [
     for i in range(12)
 ]
 CONFIG = {"regions": 4096, "lines_per_region": 16}
+
+#: Jobs past the retention window in step 6, and their small batches.
+EXTRA_JOBS = 5
+WINDOW_CONFIG = {"regions": 64, "lines_per_region": 2}
+
+
+def window_specs(index: int) -> list:
+    return [{"label": f"w{index}", "attack": "uaa", "p": 0.01 + index * 1e-4}]
 
 
 def start_server(port: int, state_dir: str) -> subprocess.Popen:
@@ -136,6 +150,14 @@ def main() -> int:
         if counters.get("service.dedup_hits", 0) < 1:
             raise SystemExit(f"service.dedup_hits missing from manifest: {counters}")
         print("[smoke] warm resubmission deduped without touching the runner")
+
+        server.terminate()
+        server.wait(timeout=60)
+        window_state = tempfile.mkdtemp(prefix="window-", dir=state_dir)
+        print(f"[smoke] fresh service for the retention window ({window_state})")
+        server = start_server(args.port, window_state)
+        wait_healthy(client, server)
+        check_retention_window(client)
         print("[smoke] OK")
         return 0
     finally:
@@ -145,6 +167,42 @@ def main() -> int:
                 server.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 server.kill()
+
+
+def check_retention_window(client) -> None:
+    """Step 6: counters, not wall clock, pin the bounded job state."""
+    from repro.service.store import RETAINED_FINISHED_JOBS
+    from repro.sim.batch import run_batch
+    from repro.sim.config import ExperimentConfig
+
+    total = RETAINED_FINISHED_JOBS + EXTRA_JOBS
+    job_ids = []
+    for index in range(total):
+        job_ids.append(client.submit(window_specs(index), WINDOW_CONFIG)["job_id"])
+        gauges = client.metrics()["gauges"]
+        in_flight = gauges["service.queue_depth"] + gauges["service.running"]
+        if gauges["service.jobs_known"] > RETAINED_FINISHED_JOBS + in_flight:
+            raise SystemExit(f"jobs_known over the window plus in-flight: {gauges}")
+    for job_id in job_ids:
+        if client.wait(job_id)["status"] != "done":
+            raise SystemExit(f"window job {job_id} did not finish")
+    manifest = client.metrics()
+    counters, gauges = manifest["counters"], manifest["gauges"]
+    for name in ("service.jobs_evicted", "service.bodies_evicted"):
+        if counters.get(name, 0) != EXTRA_JOBS:
+            raise SystemExit(f"{name} is {counters.get(name, 0)}, not {EXTRA_JOBS}")
+    if gauges["service.jobs_known"] != RETAINED_FINISHED_JOBS:
+        raise SystemExit(f"jobs_known is not the window: {gauges}")
+    # One dispatcher runs the jobs in order, so the first left memory.
+    if job_ids[0] in {job["job_id"] for job in client.list_jobs()}:
+        raise SystemExit("the oldest finished job is still listed")
+    direct = run_batch(window_specs(0), ExperimentConfig(**WINDOW_CONFIG)).to_json()
+    if client.results(job_ids[0]) != direct:
+        raise SystemExit("evicted job's body is NOT byte-identical to run_batch")
+    print(
+        f"[smoke] window held {RETAINED_FINISHED_JOBS} finished jobs; "
+        f"{EXTRA_JOBS} evicted, and the oldest is served from its record"
+    )
 
 
 if __name__ == "__main__":

@@ -19,6 +19,17 @@ It owns:
   killed service restarts, re-queues interrupted jobs, and their
   ledgers turn the re-run into a resume.
 
+Memory is bounded by a retention window of
+:data:`~repro.service.store.RETAINED_FINISHED_JOBS`: the service keeps
+every unfinished job plus the newest that many finished ones, and the
+store the bodies of the newest that many published keys.  A finished
+job leaves memory only once its terminal record is on disk;
+:meth:`SimService.get_job` then answers it from that record.  Dedup is
+O(1) inside the window; outside it a resubmission runs as an ordinary
+job whose members all hit the shared ``ResultCache``.  Listing shows
+the retained jobs, and a restart loads every unfinished job plus the
+newest finished window by ``submitted_at``.
+
 Determinism contract: a job's result body is exactly
 ``BatchResult.to_json()`` of its specs -- byte-identical to a direct
 :func:`run_batch` of the same batch, whichever tenant asked and however
@@ -27,19 +38,22 @@ many duplicates were coalesced.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
+import re
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic, perf_counter
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Set
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sink import build_manifest
 from repro.service.jobs import Job
 from repro.service.queue import JobQueue, QuotaExceeded, TenantQuota
-from repro.service.store import ResultStore, batch_key
+from repro.service.store import RETAINED_FINISHED_JOBS, ResultStore, batch_key
 from repro.sim.batch import RunSpec, run_batch
 from repro.sim.cache import ResultCache
 from repro.sim.config import ExperimentConfig
@@ -64,6 +78,10 @@ MAX_SPECS_PER_REQUEST: int = 1024
 #: ``Retry-After`` hint handed to clients rejected during a drain: the
 #: process is exiting; by then a replacement is expected to be listening.
 DRAIN_RETRY_AFTER_SECONDS: float = 5.0
+
+#: The shape of a minted job id (:func:`repro.service.jobs.new_job_id`).
+#: Only such an id is looked up on disk, so no request names a path.
+_JOB_ID = re.compile(r"j-[0-9a-f]{12}")
 
 
 class ValidationError(ValueError):
@@ -117,6 +135,10 @@ class SimService:
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
+        # Retained finished job ids, oldest first, and finished jobs whose
+        # terminal record has not landed yet (they stay in memory).
+        self._finished: Deque[str] = deque()
+        self._unwritten: Set[str] = set()
         self._jobs_lock = threading.Lock()
         self._dispatchers: List[threading.Thread] = []
         self._stopping = threading.Event()
@@ -161,10 +183,12 @@ class SimService:
         :class:`ServiceUnavailable` (503 + Retry-After) and dispatchers
         stop *taking* new jobs; the ones mid-batch get ``timeout``
         seconds to finish (their per-job ledgers checkpoint continuously,
-        so even an overrun loses no completed member).  Every job record
-        is then persisted so the next incarnation resumes queued and
-        interrupted work.  Returns whether all dispatchers finished in
-        time -- the caller's signal that exiting now abandons nothing.
+        so even an overrun loses no completed member).  Every job whose
+        record may be stale is then persisted -- unfinished ones, and
+        finished ones whose terminal write failed -- so the next
+        incarnation resumes queued and interrupted work.  Returns whether
+        all dispatchers finished in time -- the caller's signal that
+        exiting now abandons nothing.
         """
         self._count("service.drains")
         self._draining.set()
@@ -173,6 +197,9 @@ class SimService:
             thread.join(max(deadline - monotonic(), 0.0))
         clean = not any(thread.is_alive() for thread in self._dispatchers)
         for job in self.list_jobs():
+            if job.finished:
+                self._retry_terminal_write(job)
+                continue
             try:
                 self._persist(job)
             except OSError:
@@ -299,21 +326,37 @@ class SimService:
     # ------------------------------------------------------------------
 
     def get_job(self, job_id: str) -> Optional[Job]:
-        """The job with ``job_id``, if known."""
+        """The job with ``job_id``, if known.
+
+        A finished job that has left memory is rebuilt from its durable
+        record, as a restart would: its events are ``queued`` plus the
+        terminal one.  Only an id of the minted shape is looked up on
+        disk; any other id is unknown without touching a file.
+        """
         with self._jobs_lock:
-            return self._jobs.get(job_id)
+            job = self._jobs.get(job_id)
+        if job is not None or not _JOB_ID.fullmatch(job_id):
+            return job
+        job = self._load_record(self.records_dir / f"{job_id}.json")
+        return job if job is not None and job.finished else None
 
     def list_jobs(self) -> List[Job]:
-        """Every known job, oldest submission first."""
+        """Every retained job: the unfinished ones plus the newest
+        finished window, in the order they entered memory."""
         with self._jobs_lock:
             return list(self._jobs.values())
 
     def manifest(self) -> dict:
-        """Metrics manifest with the ``service.*`` counters folded in."""
+        """Metrics manifest with the ``service.*`` counters folded in.
+
+        The ``service.jobs_known`` gauge counts the retained jobs.  It is
+        read after the queue gauges, so while no submission races the
+        read it is at most ``RETAINED_FINISHED_JOBS`` plus their sum.
+        """
         with self._metrics_lock:
-            self.metrics.gauge("service.jobs_known", len(self._jobs))
             self.metrics.gauge("service.queue_depth", self.queue.depth())
             self.metrics.gauge("service.running", self.queue.running())
+            self.metrics.gauge("service.jobs_known", len(self._jobs))
             snapshot = self.metrics.snapshot()
             return build_manifest(
                 self.metrics,
@@ -356,25 +399,19 @@ class SimService:
                 self._execute(job)
             except Exception as error:  # noqa: BLE001 - dispatcher survival
                 # _execute isolates batch failures itself; anything that
-                # still escapes (e.g. an IO error persisting a record)
-                # must fail THIS job, not kill the dispatcher thread and
-                # silently wedge every job behind it.
+                # still escapes (e.g. an IO error persisting the running
+                # record) must fail THIS job, not kill the dispatcher
+                # thread and silently wedge every job behind it.
                 if not job.finished:
-                    try:
-                        job.mark_failed(
-                            f"{type(error).__name__}: {error}",
-                            before_notify=lambda: self._finalize(
-                                job, "service.failed"
-                            ),
-                        )
-                    except Exception:  # noqa: BLE001 - still wake waiters
-                        job.mark_failed(f"{type(error).__name__}: {error}")
+                    job.mark_failed(
+                        f"{type(error).__name__}: {error}",
+                        before_notify=lambda: self._finalize(
+                            job, "service.failed"
+                        ),
+                    )
             finally:
                 self.queue.release(job)
-                try:
-                    self._persist(job)
-                except OSError:
-                    pass  # backstop write; terminal states already persisted
+                self._retry_terminal_write(job)
 
     def _execute(self, job: Job) -> None:
         """Run one job to a terminal state via the store's claim protocol."""
@@ -391,30 +428,24 @@ class SimService:
             os._exit(CRASH_EXIT_CODE)
         while True:
             outcome = self.store.claim(job.batch_key)
+            if outcome == ResultStore.OWNER:
+                break  # run it below
             if outcome == ResultStore.PUBLISHED:
+                body = self.store.get(job.batch_key)
+            else:
+                body = self.store.wait(job.batch_key, timeout=1.0)
+            if body is not None:
                 job.mark_done(
-                    self.store.get(job.batch_key),
+                    body,
                     dedup=True,
                     before_notify=lambda: self._finalize(
                         job, "service.dedup_hits", "service.completed"
                     ),
                 )
                 return
-            if outcome == ResultStore.WAIT:
-                body = self.store.wait(job.batch_key, timeout=1.0)
-                if body is not None:
-                    job.mark_done(
-                        body,
-                        dedup=True,
-                        before_notify=lambda: self._finalize(
-                            job, "service.dedup_hits", "service.completed"
-                        ),
-                    )
-                    return
-                # Owner failed or is still running: re-claim (we may be
-                # promoted to owner and run the batch ourselves).
-                continue
-            break  # OWNER: run it below.
+            # The owner failed or is still running, or the body already
+            # left the store: re-claim (we may be promoted to owner and
+            # run the batch ourselves).
         try:
             body = self._run_batch(job)
         except Exception as error:  # noqa: BLE001 - job isolation boundary
@@ -424,7 +455,7 @@ class SimService:
                 before_notify=lambda: self._finalize(job, "service.failed"),
             )
             return
-        self.store.publish(job.batch_key, body)
+        self._publish(job.batch_key, body)
         job.mark_done(
             body,
             before_notify=lambda: self._finalize(job, "service.completed"),
@@ -484,9 +515,48 @@ class SimService:
         by the time any ``wait()``/streamer observes the terminal state,
         the durable record and the service counters already reflect it.
         """
-        self._persist(job)
+        self._write_terminal(job)
         for name in counters:
             self._count(name)
+
+    def _write_terminal(self, job: Job) -> None:
+        """Persist a finished job's record, then retire it.
+
+        A failed write keeps the job in memory and in ``_unwritten``, for
+        :meth:`_retry_terminal_write`.
+        """
+        try:
+            self._persist(job)
+        except OSError:
+            with self._jobs_lock:
+                self._unwritten.add(job.job_id)
+            return
+        self._retire(job)
+
+    def _retry_terminal_write(self, job: Job) -> None:
+        """Write the terminal record again, only if it failed to land."""
+        with self._jobs_lock:
+            if job.job_id not in self._unwritten:
+                return
+            self._unwritten.discard(job.job_id)
+        self._write_terminal(job)
+
+    def _retire(self, job: Job) -> None:
+        """Enter a durable finished job into the retention window; evict
+        the oldest finished jobs past :data:`RETAINED_FINISHED_JOBS`."""
+        with self._jobs_lock:
+            self._finished.append(job.job_id)
+            evicted = 0
+            while len(self._finished) > RETAINED_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
+                evicted += 1
+        if evicted:
+            self._count("service.jobs_evicted", evicted)
+
+    def _publish(self, key: str, body: str) -> None:
+        evicted = self.store.publish(key, body)
+        if evicted:
+            self._count("service.bodies_evicted", evicted)
 
     def _persist(self, job: Job) -> None:
         """Write the job's durable record (write-then-rename).
@@ -503,33 +573,54 @@ class SimService:
             tmp.write_text(json.dumps(job.to_record(), indent=2))
             tmp.replace(path)
 
+    @staticmethod
+    def _load_record(path: Path) -> Optional[Job]:
+        """The job a durable record describes; ``None`` if it is torn."""
+        try:
+            return Job.from_record(json.loads(path.read_text()))
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
+
     def _resume(self) -> None:
         """Reload durable jobs; interrupted ones re-enter the queue.
 
-        Completed bodies re-publish into the result store so dedup
-        survives restarts; ``queued``/``running`` jobs restart as
-        ``queued`` and their checkpoint ledgers (keyed by job id) turn
-        the re-run into a resume of the already-finished members.
+        Every ``queued``/``running`` job restarts as ``queued``, and its
+        checkpoint ledger (keyed by job id) turns the re-run into a
+        resume of the already-finished members.  Of the finished jobs
+        only the newest :data:`RETAINED_FINISHED_JOBS` by
+        ``submitted_at`` are loaded; their bodies re-publish into the
+        result store, so dedup inside the window survives restarts.
+        Older records stay on disk for :meth:`get_job`.
         """
-        for path in sorted(self.records_dir.glob("j-*.json")):
-            try:
-                job = Job.from_record(json.loads(path.read_text()))
-            except (OSError, ValueError, KeyError, TypeError):
+        unfinished: List[Job] = []
+        newest: List[tuple] = []  # min-heap of the finished window
+        for path in self.records_dir.glob("j-*.json"):
+            job = self._load_record(path)
+            if job is None:
                 continue  # torn record: the job is lost, not the service
+            if not job.finished:
+                unfinished.append(job)
+                continue
+            entry = (job.submitted_at, job.job_id, job)
+            if len(newest) < RETAINED_FINISHED_JOBS:
+                heapq.heappush(newest, entry)
+            else:
+                heapq.heappushpop(newest, entry)
+        loaded = [job for _, _, job in newest] + unfinished
+        for job in sorted(loaded, key=lambda j: (j.submitted_at, j.job_id)):
             with self._jobs_lock:
                 self._jobs[job.job_id] = job
-            if job.status == "done" and job.result_text is not None:
-                if self.store.get(job.batch_key) is None:
-                    self.store.publish(job.batch_key, job.result_text)
-                continue
             if job.finished:
+                self._retire(job)
+                if job.result_text is not None:
+                    self._publish(job.batch_key, job.result_text)
                 continue
             try:
                 self.queue.submit(job)
                 self._count("service.resumed")
             except QuotaExceeded as error:
                 job.mark_failed(str(error))
-                self._persist(job)
+                self._write_terminal(job)
 
     def _count(self, name: str, value: int = 1) -> None:
         with self._metrics_lock:

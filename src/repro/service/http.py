@@ -8,8 +8,13 @@ method    path                            semantics
 ========  ==============================  =======================================
 GET       ``/healthz``                    liveness probe
 POST      ``/v1/jobs``                    submit a batch; 202 + job document
-GET       ``/v1/jobs``                    list known jobs
-GET       ``/v1/jobs/<id>``               one job's status document
+GET       ``/v1/jobs``                    list the retained jobs: every
+                                          unfinished one plus the newest
+                                          ``RETAINED_FINISHED_JOBS``
+                                          finished ones
+GET       ``/v1/jobs/<id>``               one job's status document; a
+                                          finished job no longer retained
+                                          is served from its record
 GET       ``/v1/jobs/<id>/events``        NDJSON event stream (chunked); closes
                                           when the job finishes.  ``?since=N``
                                           skips already-seen events.
@@ -19,9 +24,10 @@ GET       ``/v1/jobs/<id>/results``       the final body -- byte-identical to a
 GET       ``/v1/metrics``                 metrics manifest (``service.*`` et al.)
 ========  ==============================  =======================================
 
-Errors are JSON ``{"error": ...}``: 400 validation, 404 unknown, 429
-quota (clean rejection, never a hang), 503 + ``Retry-After`` while the
-service drains, 500 otherwise.  ``/healthz`` reports
+Errors are JSON ``{"error": ...}``: 400 validation, 404 unknown (also
+any id not of the minted ``j-`` + 12-hex shape, checked before any file
+is read), 429 quota (clean rejection, never a hang), 503 +
+``Retry-After`` while the service drains, 500 otherwise.  ``/healthz`` reports
 ``{"status": "draining"}`` once a drain begins, so load balancers fail
 the instance out before its listener goes away.
 

@@ -17,6 +17,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.core import ServiceConfig, SimService
 from repro.service.http import ServiceServer
 from repro.service.queue import TenantQuota
+from repro.service.store import RETAINED_FINISHED_JOBS
 from repro.sim.batch import run_batch
 from repro.sim.config import ExperimentConfig
 
@@ -100,6 +101,24 @@ class TestEndToEnd:
         assert manifest["command"] == "service"
         assert manifest["counters"]["service.dedup_hits"] >= 1
         assert manifest["counters"]["service.submitted"] == 2
+
+
+class TestRetention:
+    def test_evicted_job_is_served_from_its_record(self, harness):
+        document = harness.client.submit(SPECS, SMALL, tenant="alice")
+        harness.client.wait(document["job_id"])
+        for index in range(RETAINED_FINISHED_JOBS):
+            spec = {"label": f"w{index}", "attack": "uaa", "p": 0.01 + index * 1e-4}
+            harness.client.wait(harness.client.submit([spec], SMALL)["job_id"])
+        listed = {job["job_id"] for job in harness.client.list_jobs()}
+        assert document["job_id"] not in listed
+        assert len(listed) == RETAINED_FINISHED_JOBS
+        status = harness.client.status(document["job_id"])
+        assert status["status"] == "done" and status["tenant"] == "alice"
+        body = harness.client.results(document["job_id"])
+        assert body == run_batch(SPECS, ExperimentConfig(**SMALL)).to_json()
+        events = list(harness.client.stream_events(document["job_id"]))
+        assert [event["event"] for event in events] == ["queued", "done"]
 
 
 class TestDedupOptions:
@@ -194,6 +213,16 @@ class TestErrorCodes:
         with pytest.raises(ServiceError) as excinfo:
             harness.client.results("j-missing")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize(
+        "job_id", ["..", "j-../x", "j-0123456789AB", "j-" + "a" * 10_000]
+    )
+    def test_malformed_job_ids_are_404(self, harness, job_id):
+        for verb in ("", "/events", "/results"):
+            status, _text, _headers = harness.client._request(
+                "GET", f"/v1/jobs/{job_id}{verb}"
+            )
+            assert status == 404
 
     def test_results_before_done_is_409(self, tmp_path):
         harness = ServerHarness(

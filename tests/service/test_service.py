@@ -5,11 +5,13 @@ contracts live here, the wire contracts in ``test_http.py``.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.service.core import ServiceConfig, SimService, ValidationError
 from repro.service.queue import QuotaExceeded, TenantQuota
+from repro.service.store import RETAINED_FINISHED_JOBS
 from repro.sim.batch import run_batch
 from repro.sim.config import ExperimentConfig
 
@@ -31,6 +33,18 @@ def service(tmp_path):
 
 def direct_body() -> str:
     return run_batch(SPECS, ExperimentConfig(**SMALL)).to_json()
+
+
+def distinct_payload(index: int) -> dict:
+    """A one-spec batch with a key of its own."""
+    spec = {"label": f"w{index}", "attack": "uaa", "p": 0.01 + index * 1e-4}
+    return {"specs": [spec], "config": SMALL}
+
+
+def run_distinct(service, count: int, start: int = 0) -> list:
+    jobs = [service.submit("alice", distinct_payload(start + i)) for i in range(count)]
+    assert all(job.wait(120.0) and job.status == "done" for job in jobs)
+    return jobs
 
 
 class TestConcurrentSubmission:
@@ -185,8 +199,11 @@ class TestDurability:
         records = state / "jobs"
         records.mkdir(parents=True)
         (records / "j-torn.json").write_text('{"job_id": "j-torn", "ten')
+        (records / "j-0123456789ab.json").write_text('{"job_id": "j-01')
         with SimService(ServiceConfig(state_dir=state, dispatchers=1)) as service:
             assert service.get_job("j-torn") is None
+            # Not loaded at restart, and not served from disk either.
+            assert service.get_job("j-0123456789ab") is None
 
     def test_concurrent_record_writers_do_not_collide(self, tmp_path):
         """The submitting thread and a dispatcher can persist the same
@@ -320,3 +337,145 @@ class TestDrainAndShedding:
             assert job.status == "done" and not job.shed
         finally:
             service.stop()
+
+
+class TestRetentionWindow:
+    """Finished jobs and published bodies leave memory once their record
+    is durable; only the newest RETAINED_FINISHED_JOBS stay."""
+
+    def test_window_bounds_jobs_and_bodies_with_exact_counts(self, service):
+        extra = 5
+        jobs = run_distinct(service, RETAINED_FINISHED_JOBS + extra)
+        manifest = service.manifest()
+        counters = manifest["counters"]
+        assert counters["service.jobs_evicted"] == extra
+        assert counters["service.bodies_evicted"] == extra
+        assert manifest["gauges"]["service.jobs_known"] == RETAINED_FINISHED_JOBS
+        assert len(service.store) == RETAINED_FINISHED_JOBS
+        retained = {job.job_id for job in service.list_jobs()}
+        assert len(retained) == RETAINED_FINISHED_JOBS
+        # Every job finished; the window is not the finish order of two
+        # dispatchers, so check membership, not which five left.
+        assert retained <= {job.job_id for job in jobs}
+
+    def test_evicted_job_is_served_from_its_record(self, service):
+        first = service.submit("alice", PAYLOAD)
+        assert first.wait(120.0)
+        run_distinct(service, RETAINED_FINISHED_JOBS)
+        assert first.job_id not in {job.job_id for job in service.list_jobs()}
+        reloaded = service.get_job(first.job_id)
+        assert reloaded is not None and reloaded is not first
+        assert reloaded.status == "done"
+        assert reloaded.result_text == direct_body()
+        assert reloaded.describe()["tenant"] == "alice"
+        # As after a restart: the queued event plus the terminal one.
+        assert [event["event"] for event in reloaded.events] == ["queued", "done"]
+
+    def test_dedup_inside_the_window_is_a_hit(self, service):
+        original = service.submit("alice", PAYLOAD)
+        assert original.wait(120.0)
+        run_distinct(service, RETAINED_FINISHED_JOBS - 1)
+        warm = service.submit("bob", PAYLOAD)
+        assert warm.status == "done" and warm.dedup_hit
+        assert warm.result_text == original.result_text
+
+    def test_resubmission_outside_the_window_reruns_from_the_cache(self, service):
+        original = service.submit("alice", PAYLOAD)
+        assert original.wait(120.0)
+        run_distinct(service, RETAINED_FINISHED_JOBS)
+        counters = service.manifest()["counters"]
+        hits, simulated = counters.get("runner.cache_hits", 0), counters["runner.simulated"]
+        again = service.submit("bob", PAYLOAD)
+        assert again.wait(120.0)
+        assert again.status == "done" and not again.dedup_hit
+        assert again.result_text == direct_body()
+        counters = service.manifest()["counters"]
+        assert counters["runner.cache_hits"] - hits == len(SPECS)
+        assert counters["runner.simulated"] == simulated
+
+    def test_restart_loads_the_newest_window_and_requeues_every_unfinished(self, tmp_path):
+        state = tmp_path / "state"
+        with SimService(ServiceConfig(state_dir=state, dispatchers=2)) as before:
+            run_distinct(before, RETAINED_FINISHED_JOBS + 6)
+        # Accepted but never dispatched (not started), then "crashed".
+        crashed = SimService(ServiceConfig(state_dir=state, dispatchers=1))
+        queued = [crashed.submit("bob", distinct_payload(1000 + i)) for i in range(3)]
+        records = [
+            json.loads(path.read_text()) for path in (state / "jobs").glob("j-*.json")
+        ]
+        finished = sorted(
+            (r for r in records if r["status"] == "done"),
+            key=lambda r: (r["submitted_at"], r["job_id"]),
+        )
+        assert len(finished) == RETAINED_FINISHED_JOBS + 6
+
+        with SimService(ServiceConfig(state_dir=state, dispatchers=1)) as after:
+            resumed = [after.get_job(job.job_id) for job in queued]
+            assert all(job.wait(120.0) and job.status == "done" for job in resumed)
+            counters = after.manifest()["counters"]
+            assert counters["service.resumed"] == len(queued)
+            # The window held exactly RETAINED_FINISHED_JOBS finished jobs
+            # at load: the three resumed ones are the only evictions.
+            assert counters["service.jobs_evicted"] == len(queued)
+            newest = {r["job_id"] for r in finished[-(RETAINED_FINISHED_JOBS - 3):]}
+            assert {job.job_id for job in after.list_jobs()} == newest | {
+                job.job_id for job in queued
+            }
+            # An old record not loaded is still served from disk.
+            oldest = after.get_job(finished[0]["job_id"])
+            assert oldest is not None and oldest.result_text == finished[0]["result"]
+
+    @pytest.mark.parametrize(
+        "job_id",
+        ["..", "j-..", "j-../x", "j-../../jobs/j-0123456789ab", "j-0123456789AB",
+         "J-0123456789ab", "j-0123456789a", "j-0123456789abc", "j-0123456789ab\n",
+         "j-" + "a" * 10_000],
+    )
+    def test_malformed_ids_are_unknown_without_touching_a_file(
+        self, service, monkeypatch, job_id
+    ):
+        read = []
+        real_read_text = Path.read_text
+        monkeypatch.setattr(
+            Path, "read_text",
+            lambda path, *a, **k: read.append(path) or real_read_text(path, *a, **k),
+        )
+        before = sorted(service.state_dir.rglob("*"))
+        assert service.get_job(job_id) is None
+        assert read == []
+        assert sorted(service.state_dir.rglob("*")) == before
+
+    def test_a_cold_job_writes_three_records(self, service, monkeypatch):
+        writes = []
+        persist = service._persist
+        monkeypatch.setattr(
+            service, "_persist", lambda job: writes.append(job.status) or persist(job)
+        )
+        job = service.submit("alice", PAYLOAD)
+        assert job.wait(120.0)
+        service.stop()  # the dispatcher's finally has run
+        assert writes == ["queued", "running", "done"]
+
+    def test_a_job_whose_terminal_write_fails_stays_in_memory(self, service, monkeypatch):
+        persist = service._persist
+
+        def failing(job):
+            if job.finished and job.specs[0]["label"] == "a":
+                raise OSError("disk full")
+            persist(job)
+
+        monkeypatch.setattr(service, "_persist", failing)
+        stuck = service.submit("alice", PAYLOAD)
+        assert stuck.wait(120.0) and stuck.status == "done"
+        run_distinct(service, RETAINED_FINISHED_JOBS + 2)
+        retained = {job.job_id for job in service.list_jobs()}
+        assert stuck.job_id in retained
+        assert len(retained) == RETAINED_FINISHED_JOBS + 1
+        assert service.manifest()["counters"]["service.jobs_evicted"] == 2
+
+        # Once a write lands (here: the drain's), the job is retired.
+        monkeypatch.setattr(service, "_persist", persist)
+        service.drain(timeout=30.0)
+        record = json.loads((service.records_dir / f"{stuck.job_id}.json").read_text())
+        assert record["status"] == "done"
+        assert service.manifest()["counters"]["service.jobs_evicted"] == 3

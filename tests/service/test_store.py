@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.service.store import ResultStore, batch_key
+from repro.service.store import RETAINED_FINISHED_JOBS, ResultStore, batch_key
 
 
 class TestBatchKey:
@@ -67,3 +67,36 @@ class TestClaimProtocol:
         store.publish("a", "x")
         store.publish("b", "y")
         assert len(store) == 2
+
+
+class TestRetention:
+    """The store keeps the bodies of the newest RETAINED_FINISHED_JOBS
+    published keys."""
+
+    @staticmethod
+    def filled() -> "tuple[ResultStore, list]":
+        store = ResultStore()
+        keys = [f"k{i}" for i in range(RETAINED_FINISHED_JOBS)]
+        assert [store.publish(key, key.upper()) for key in keys] == [0] * len(keys)
+        return store, keys
+
+    def test_oldest_published_body_leaves_first(self):
+        store, keys = self.filled()
+        assert store.publish("new", "NEW") == 1
+        assert store.get(keys[0]) is None
+        assert [store.get(key) for key in keys[1:]] == [key.upper() for key in keys[1:]]
+        assert store.get("new") == "NEW"
+        assert len(store) == RETAINED_FINISHED_JOBS
+
+    def test_republish_makes_a_key_newest(self):
+        store, keys = self.filled()
+        store.publish(keys[0], keys[0].upper())
+        assert store.publish("new", "NEW") == 1
+        assert store.get(keys[1]) is None
+        assert store.get(keys[0]) == keys[0].upper()
+
+    def test_claim_on_an_evicted_key_owns_it(self):
+        store, keys = self.filled()
+        store.publish("new", "NEW")
+        assert store.claim(keys[0]) == ResultStore.OWNER
+        assert store.claim(keys[1]) == ResultStore.PUBLISHED
